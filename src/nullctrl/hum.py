@@ -17,25 +17,18 @@ from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
-from scipy.linalg import expm
 
 from .dynamics import ModeState, mode_propagators
 from .errors import (ControllabilityError, ObservabilityError,
                      PropagationStepError, QuadratureError, ValidationError)
 from .kalman import KalmanVerdict, kalman_certificate
 from .spectral import SpectralModel, SubdomainMask, mass_matrix
-from .system import CoupledSystem, FloatArray
+from .system import CoupledSystem, FloatArray, _frozen
 
 QUAD_RTOL = 1e-10
 MAX_DOUBLINGS = 4
 SPECTRAL_CUTOFF = 1e-12
 SOLVE_RTOL = 1e-8
-
-
-def _frozen(a, dtype=float):
-    out = np.array(a, dtype=dtype, copy=True)
-    out.flags.writeable = False
-    return out
 
 
 def gauss_rule(a: float, b: float, npts: int) -> tuple[FloatArray, FloatArray]:
@@ -48,12 +41,9 @@ def gauss_rule(a: float, b: float, npts: int) -> tuple[FloatArray, FloatArray]:
 def _adjoint_flows(system: CoupledSystem, gammas: FloatArray, tau: float,
                    times: FloatArray) -> FloatArray:
     """E_k(t) = expm(-(gamma_k D^T + Q^T)(tau - t)), shape (T, K, n, n)."""
-    mats = gammas[:, None, None] * system.D.T[None] + system.Q.T[None]
-    gaps = tau - np.asarray(times, dtype=float)
-    stack = -gaps[:, None, None, None] * mats[None]
-    n = system.n
-    flows = expm(stack.reshape(-1, n, n))
-    return flows.reshape(len(gaps), len(gammas), n, n)
+    # times may overshoot tau by the roundoff beta_at tolerates
+    gaps = np.maximum(tau - np.asarray(times, dtype=float), 0.0)
+    return mode_propagators(system, gammas, gaps, adjoint=True)
 
 
 @dataclass(frozen=True)
@@ -399,8 +389,18 @@ def simulate_forward(system: CoupledSystem, model: SpectralModel,
     the variation-of-constants integral is evaluated with a 4-node
     Gauss rule and exact exponential propagation.
 
+    The whole window is batched: the control is evaluated at every inner
+    Gauss time at once, one :func:`mode_propagators` call yields the
+    step and forcing flows of every sub-interval, and only the
+    recurrence ``a <- S_j a + f_j`` runs sub-interval by sub-interval.
+
     Returns the states at the window boundaries and at every control
     grid node.
+
+    Raises
+    ------
+    PropagationStepError
+        If a sub-interval step exceeds the bound of :func:`mode_propagators`.
     """
     if gamma_sim < min(control.gamma_cut, model.gamma_max):
         raise ValidationError(
@@ -418,9 +418,9 @@ def simulate_forward(system: CoupledSystem, model: SpectralModel,
         )
     sim_idx = np.flatnonzero(model.eigenvalues <= gamma_sim)
     sim_gammas = model.eigenvalues[sim_idx]
-    Ks, n = len(sim_idx), system.n
+    Ks = len(sim_idx)
 
-    a = np.zeros((Ks, n))
+    a = np.zeros((Ks, system.n))
     if y0.num_modes:
         pos = np.searchsorted(sim_idx, y0.mode_indices)
         if np.any(pos >= Ks) or np.any(sim_idx[np.minimum(pos, Ks - 1)] != y0.mode_indices):
@@ -437,33 +437,25 @@ def simulate_forward(system: CoupledSystem, model: SpectralModel,
     ])  # (m, Ks, Kc)
 
     bounds = np.concatenate([[control.t0], control.nodes, [control.t1]])
+    lo, hi = bounds[:-1], bounds[1:]
     inner_x, inner_w = np.polynomial.legendre.leggauss(4)
+    half = 0.5 * (hi - lo)
+    s_times = (0.5 * (lo + hi))[:, None] + half[:, None] * inner_x     # (J, 4)
+    s_weights = half[:, None] * inner_w
+    beta = control.beta_at(s_times.ravel()).reshape(
+        s_times.shape + (system.m, len(control.mode_indices)))
+    force = np.einsum("qi,ilk,jtik->jtlq", system.R, cross, beta,
+                      optimize=True)                                  # (J, 4, Ks, n)
+    gaps = np.concatenate([(hi - lo)[:, None], hi[:, None] - s_times], axis=1)
+    flows = mode_propagators(system, sim_gammas, gaps)               # (J, 5, Ks, n, n)
+    increments = np.einsum("jt,jtkab,jtkb->jka", s_weights, flows[:, 1:], force,
+                           optimize=True)
 
-    mats = sim_gammas[:, None, None] * system.D[None] + system.Q[None]
-    step = float(np.diff(bounds).max() * np.linalg.norm(mats, ord=2, axis=(1, 2)).max())
-    if step > 1e4:
-        raise PropagationStepError(
-            f"sub-interval step dt*|gamma D + Q| = {step:.3g} exceeds 1e4; "
-            f"refine the control grid"
-        )
-
-    states = [ModeState(mode_indices=_frozen(sim_idx, np.int64),
-                        eigenvalues=_frozen(sim_gammas),
+    mode_indices, eigenvalues = _frozen(sim_idx, np.int64), _frozen(sim_gammas)
+    states = [ModeState(mode_indices=mode_indices, eigenvalues=eigenvalues,
                         coefficients=_frozen(a), time=float(bounds[0]))]
-    for u, v in zip(bounds[:-1], bounds[1:]):
-        mid, half = 0.5 * (u + v), 0.5 * (v - u)
-        s_times = mid + half * inner_x
-        s_weights = half * inner_w
-        beta = control.beta_at(s_times)                       # (4, m, Kc)
-        force = np.einsum("qi,ilk,tik->tlq", system.R, cross, beta,
-                          optimize=True)                      # (4, Ks, n)
-        gaps = np.concatenate([[v - u], v - s_times])
-        steps = expm((-gaps[:, None, None, None] * mats[None]).reshape(-1, n, n))
-        steps = steps.reshape(len(gaps), Ks, n, n)
-        a = np.einsum("kab,kb->ka", steps[0], a)
-        a += np.einsum("t,tkab,tkb->ka", s_weights, steps[1:], force,
-                       optimize=True)
-        states.append(ModeState(mode_indices=states[0].mode_indices,
-                                eigenvalues=states[0].eigenvalues,
+    for step, inc, v in zip(flows[:, 0], increments, hi):
+        a = np.einsum("kab,kb->ka", step, a) + inc
+        states.append(ModeState(mode_indices=mode_indices, eigenvalues=eigenvalues,
                                 coefficients=_frozen(a), time=float(v)))
     return states

@@ -24,6 +24,7 @@ import numpy as np
 import numpy.typing as npt
 from numpy.polynomial import chebyshev as C
 
+from .dynamics import mode_propagators
 from .errors import InvalidKernelError, ValidationError
 from .spectral import SpectralModel
 from .system import CoupledSystem, FloatArray
@@ -231,14 +232,12 @@ class InvisibleSolution:
 
     def coefficient(self, t) -> FloatArray:
         """Coefficient vector z(t); accepts a scalar or an array of times."""
-        from scipy.linalg import expm
-
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         if np.any(t_arr < 0.0) or np.any(t_arr > self.horizon):
             raise ValidationError("time outside [0, horizon]")
-        At = self.system.mode_matrix(self.gamma).T
-        mats = expm(-At[None, :, :] * (self.horizon - t_arr)[:, None, None])
-        out = mats @ self.z0
+        flows = mode_propagators(self.system, np.array([self.gamma]),
+                                 self.horizon - t_arr, adjoint=True)
+        out = flows[:, 0] @ self.z0
         return out[0] if np.isscalar(t) or np.ndim(t) == 0 else out
 
     def observation(self, t) -> FloatArray:

@@ -24,16 +24,11 @@ import numpy as np
 import numpy.typing as npt
 
 from .errors import ValidationError
+from .system import _frozen
 
 FloatArray = npt.NDArray[np.float64]
 
 _GAUSS_PTS_PER_PANEL = 12
-
-
-def _frozen(a, dtype=float):
-    out = np.array(a, dtype=dtype, copy=True)
-    out.flags.writeable = False
-    return out
 
 
 def _composite_gauss(length: float, panels: int) -> tuple[FloatArray, FloatArray]:

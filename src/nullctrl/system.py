@@ -21,8 +21,9 @@ from .errors import CoercivityError, ValidationError
 FloatArray = npt.NDArray[np.float64]
 
 
-def _frozen(a: FloatArray) -> FloatArray:
-    out = np.array(a, dtype=float, copy=True)
+def _frozen(a: npt.ArrayLike, dtype=float) -> npt.NDArray:
+    """Read-only copy of ``a``, the storage of every immutable result."""
+    out = np.array(a, dtype=dtype, copy=True)
     out.flags.writeable = False
     return out
 

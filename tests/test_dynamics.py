@@ -6,7 +6,7 @@ from nullctrl import (ModeState, PropagationStepError, ValidationError,
                       dissipation_check, full_state, mode_propagators,
                       project_high, project_low, propagate, recombine,
                       reconstruct, single_mode_state)
-from nullctrl.dynamics import mode_matrix
+from nullctrl.dynamics import STEP_BOUND, expm_stack, mode_matrix
 from conftest import taylor_expm
 
 
@@ -35,6 +35,65 @@ def test_propagators_match_taylor_series_oracle():
             for g, P in zip(gammas, props):
                 expect = taylor_expm(-dt * s.mode_matrix(g))
                 assert np.abs(P - expect).max() <= 1e-12
+
+
+def _stable_generator(rng, n, norm):
+    """Random generator with positive definite symmetric part and |M|_2 = norm."""
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    skew = rng.standard_normal((n, n))
+    M = (V @ np.diag(rng.uniform(0.5, 2.0, n)) @ V.T + skew - skew.T
+         + 0.5 * rng.standard_normal((n, n)))
+    return M * (norm / np.linalg.norm(M, 2))
+
+
+def _assert_matches_taylor(stack):
+    # scaling and squaring loses about eps * |A| in the 2-norm
+    for A, E in zip(stack, expm_stack(stack)):
+        tol = 100 * np.finfo(float).eps * max(1.0, np.linalg.norm(A, 2))
+        assert np.linalg.norm(E - taylor_expm(A), 2) <= tol
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_expm_stack_matches_taylor_on_random_generators(n):
+    rng = np.random.default_rng(n)
+    _assert_matches_taylor(np.stack([-_stable_generator(rng, n, nu)
+                                     for nu in (1e-3, 0.3, 2.0, 40.0)]))
+
+
+def test_expm_stack_mixed_norms_up_to_step_bound():
+    # each matrix gets its own scaling: the small ones must not be
+    # squared as often as the largest one
+    rng = np.random.default_rng(11)
+    norms = np.logspace(-6, np.log10(0.9 * STEP_BOUND), 12)
+    _assert_matches_taylor(np.stack([-_stable_generator(rng, 3, nu)
+                                     for nu in norms]))
+
+
+def test_expm_stack_jordan_zero_and_empty(interval10):
+    # case1's generator 2*gamma*I plus a cascade is a Jordan block
+    s = build_system(D=2.0 * np.eye(2), Q=[[0.0, 0.0], [1.0, 0.0]],
+                     R=[[1.0], [0.0]])
+    gens = np.stack([-0.5 * s.mode_matrix(g) for g in interval10.eigenvalues])
+    _assert_matches_taylor(gens)
+    J = np.array([[2.0, 1.0], [0.0, 2.0]])
+    np.testing.assert_allclose(expm_stack(-J), np.exp(-2.0) * np.array(
+        [[1.0, -1.0], [0.0, 1.0]]), rtol=1e-14)
+    assert np.array_equal(expm_stack(np.zeros((3, 4, 4))),
+                          np.broadcast_to(np.eye(4), (3, 4, 4)))
+    assert expm_stack(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+
+
+def test_propagators_accept_an_array_of_steps(case3_system, interval10):
+    dt = np.array([[0.0, 0.1, 0.2], [0.3, 0.4, 0.5]])
+    props = mode_propagators(case3_system, interval10.eigenvalues, dt,
+                             adjoint=True)
+    assert props.shape == (2, 3, 10, 2, 2)
+    for idx in np.ndindex(dt.shape):
+        np.testing.assert_array_equal(
+            props[idx], mode_propagators(case3_system, interval10.eigenvalues,
+                                         dt[idx], adjoint=True))
+    assert mode_propagators(case3_system, interval10.eigenvalues[:0],
+                            dt).shape == (2, 3, 0, 2, 2)
 
 
 def test_propagate_defective_generator(interval10):

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
+from scipy.linalg import expm
+
 from nullctrl import (ControllabilityError, ModeState, ObservabilityError,
-                      QuadratureError, ValidationError, assemble_gramian,
+                      PropagationStepError, QuadratureError, ValidationError,
+                      assemble_gramian,
                       build_system, control_from_datum, control_inner_product,
                       dirichlet_interval_model, full_domain_mask, full_state,
                       mask_from_boxes, mode_propagators, observability_constant,
                       project_high, project_low, propagate, simulate_forward,
-                      synthesize_control)
-from conftest import dense_time_quadrature
+                      load_config, mass_matrix, synthesize_control)
+from conftest import config_file, dense_time_quadrature
 
 
 @pytest.fixture(scope="module")
@@ -43,8 +46,6 @@ def test_full_domain_gramian_block_diagonal(case3_system, interval10):
     g = assemble_gramian(case3_system, interval10, masks, 30.0, tau)
     K = len(g.eigenvalues)
     G = g.matrix.reshape(K, 2, K, 2)
-    from scipy.linalg import expm
-
     for k in range(K):
         for l in range(K):
             if k != l:
@@ -241,6 +242,64 @@ def test_simulate_forward_validation(case3_system, interval10, narrow_mask10):
     with pytest.raises(ValidationError):
         simulate_forward(case3_system, interval10, narrow_mask10, shifted,
                          c, 25.0)
+
+
+def _sequential_simulation(system, model, masks, y0, control, gamma_sim):
+    """Reference: one sub-interval at a time with scipy's expm."""
+    sim_idx = np.flatnonzero(model.eigenvalues <= gamma_sim)
+    mats = model.eigenvalues[sim_idx, None, None] * system.D + system.Q
+    a = np.zeros((len(sim_idx), system.n))
+    a[y0.mode_indices] = y0.coefficients
+    ctrl_pos = np.searchsorted(sim_idx, control.mode_indices)
+    cross = np.stack([mass_matrix(model, mask, sim_idx)[:, ctrl_pos]
+                      for mask in masks])
+    bounds = np.concatenate([[control.t0], control.nodes, [control.t1]])
+    x, w = np.polynomial.legendre.leggauss(4)
+    out = [a]
+    for u, v in zip(bounds[:-1], bounds[1:]):
+        s_times = 0.5 * (u + v) + 0.5 * (v - u) * x
+        force = np.einsum("qi,ilk,tik->tlq", system.R, cross,
+                          control.beta_at(s_times))
+        a = expm(-(v - u) * mats) @ a[:, :, None]
+        a = a[:, :, 0]
+        for t, wt, f in zip(s_times, 0.5 * (v - u) * w, force):
+            a = a + wt * (expm(-(v - t) * mats) @ f[:, :, None])[:, :, 0]
+        out.append(a)
+    return bounds, out
+
+
+@pytest.mark.parametrize("name", ["case1.json", "case3.json"])
+def test_simulate_forward_matches_sequential_reference(name):
+    cfg = load_config(config_file(name))
+    model, masks = cfg.model, list(cfg.masks)
+    gamma, tau = 30.0, 0.25
+    K = int(np.sum(model.eigenvalues <= gamma))
+    rng = np.random.default_rng(8)
+    control = control_from_datum(cfg.system, model, masks,
+                                 rng.standard_normal((K, cfg.system.n)),
+                                 gamma, tau, t0=0.5, quad_nodes=16)
+    y0 = full_state(model, rng.standard_normal((model.num_modes, cfg.system.n)),
+                    time=0.5)
+    states = simulate_forward(cfg.system, model, masks, y0, control,
+                              model.gamma_max)
+    bounds, ref = _sequential_simulation(cfg.system, model, masks, y0, control,
+                                         model.gamma_max)
+    assert len(states) == len(ref) == 18
+    scale = max(np.linalg.norm(r) for r in ref)
+    for st, t, r in zip(states, bounds, ref):
+        assert st.time == t
+        assert np.linalg.norm(st.coefficients - r) <= 1e-12 * scale
+
+
+def test_simulate_forward_step_bound(interval10):
+    # a stiff diffusion makes one sub-interval step exceed STEP_BOUND
+    stiff = build_system([[1e3]], [[0.0]], [[1.0]])
+    masks = [full_domain_mask(interval10, 0)]
+    c = control_from_datum(stiff, interval10, masks, [[1.0]], 1.0, 1.0,
+                           quad_nodes=2)
+    y0 = full_state(interval10, np.zeros((10, 1)))
+    with pytest.raises(PropagationStepError):
+        simulate_forward(stiff, interval10, masks, y0, c, 100.0)
 
 
 def _adjoint_initial_value(system, gammas, tau, datum):
