@@ -29,6 +29,7 @@ QUAD_RTOL = 1e-10
 MAX_DOUBLINGS = 4
 SPECTRAL_CUTOFF = 1e-12
 SOLVE_RTOL = 1e-8
+MAX_REFINEMENTS = 8
 
 
 def gauss_rule(a: float, b: float, npts: int) -> tuple[FloatArray, FloatArray]:
@@ -216,8 +217,9 @@ def synthesize_control(system: CoupledSystem, model: SpectralModel,
 
     Solves the Gramian normal equations ``G z = -b`` with ``b`` the free
     terminal state, using a symmetric eigendecomposition with relative
-    spectral cutoff 1e-12, then evaluates the control ``beta = R^T z(t)``
-    on the Gramian's Gauss grid.
+    spectral cutoff 1e-12 and iterative refinement (at most 8 passes,
+    continued while each pass at least halves the residual), then
+    evaluates the control ``beta = R^T z(t)`` on the Gramian's Gauss grid.
 
     Raises
     ------
@@ -273,18 +275,23 @@ def synthesize_control(system: CoupledSystem, model: SpectralModel,
         keep = lam > SPECTRAL_CUTOFF * lam_max
         V = vecs[:, keep]
         zhat = -(V @ ((V.T @ b) / lam[keep]))
-        # a couple of refinement passes remove the roundoff the plain
-        # eigensolve leaves behind on ill-conditioned Gramians; the
-        # genuinely invisible part (below the spectral cutoff) is
-        # untouched and still trips the residual test below
+        # refinement removes the roundoff the plain eigensolve leaves on
+        # ill-conditioned Gramians; as in LAPACK's xPORFS it continues
+        # while each pass at least halves the residual and keeps the
+        # better of the last two iterates.  The genuinely invisible part
+        # (below the spectral cutoff) is untouched and still trips the
+        # residual test below.
         resid_vec = gramian.matrix @ zhat + b
-        for _ in range(2):
-            resid = float(np.linalg.norm(resid_vec))
-            if resid <= 0.01 * SOLVE_RTOL * b_norm:
-                break
-            zhat -= V @ ((V.T @ resid_vec) / lam[keep])
-            resid_vec = gramian.matrix @ zhat + b
         resid = float(np.linalg.norm(resid_vec))
+        for _ in range(MAX_REFINEMENTS):
+            z_new = zhat - V @ ((V.T @ resid_vec) / lam[keep])
+            new_vec = gramian.matrix @ z_new + b
+            new = float(np.linalg.norm(new_vec))
+            halved = new <= 0.5 * resid
+            if new < resid:
+                zhat, resid_vec, resid = z_new, new_vec, new
+            if not halved:
+                break
         if resid > SOLVE_RTOL * b_norm:
             raise ObservabilityError(
                 f"observability too weak at this Gamma/tau: solve residual "
