@@ -8,7 +8,8 @@ the first CSV line so files stay diffable across versions.
 
 Exit codes: 0 success, 1 configuration or validation problem,
 2 controllability failure (the Kalman certificate rejects the system),
-3 numerical failure (quadrature, solve, adaptation or step control),
+3 numerical failure (quadrature, solve, adaptation or step control, or
+a cost sweep in which fewer than 2 horizons succeed),
 64 command line usage error.
 """
 
@@ -65,6 +66,11 @@ def _write_csv(path: Path, schema: str, header: list[str], rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(x) for x in row])
+
+
+def _finite_or_none(value: float) -> float | None:
+    """JSON has no NaN or infinity: undefined numbers are written as null."""
+    return float(value) if np.isfinite(value) else None
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -302,12 +308,19 @@ def _cmd_cost_sweep(cfg: ExperimentConfig, args) -> int:
                ["T", "ok", "cost", "terminal_rel", "M_used", "message"],
                [(r.T, int(r.ok), r.cost, r.terminal_rel, r.M_used, r.message)
                 for r in sweep.rows])
+    n_ok = sum(1 for r in sweep.rows if r.ok)
     _write_json(outdir / "fit.json", {
-        "alpha": sweep.alpha,
-        "beta": sweep.beta,
-        "r_squared": sweep.r_squared,
-        "n_ok": sum(1 for r in sweep.rows if r.ok),
+        "alpha": _finite_or_none(sweep.alpha),
+        "beta": _finite_or_none(sweep.beta),
+        "r_squared": _finite_or_none(sweep.r_squared),
+        "n_ok": n_ok,
     })
+    if n_ok < 2:
+        print(f"numerical failure: only {n_ok} of {len(sweep.rows)} horizons "
+              f"succeeded, the cost law needs 2; wrote "
+              f"{outdir / 'costsweep.csv'} and {outdir / 'fit.json'}",
+              file=sys.stderr)
+        return EXIT_NUMERICAL
     print(f"fit: log(cost) = {sweep.alpha!r} + {sweep.beta!r} / T, "
           f"R^2 = {sweep.r_squared!r}")
     print(f"wrote {outdir / 'costsweep.csv'} and {outdir / 'fit.json'}")

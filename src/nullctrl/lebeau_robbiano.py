@@ -300,7 +300,8 @@ def cost_sweep(system: CoupledSystem, model: SpectralModel,
                ) -> SweepResult:
     """Run the dyadic controller over several horizons and fit the cost law.
 
-    Failed runs are flagged per row and excluded from the fit.  The fit
+    Runs that raise a :class:`NullCtrlError` are flagged per row and
+    excluded from the fit; any other exception propagates.  The fit
     is ordinary least squares of log(cost) on 1/T, reported as
     (alpha, beta, r_squared) for log(cost) = alpha + beta/T.
     """
@@ -320,7 +321,7 @@ def cost_sweep(system: CoupledSystem, model: SpectralModel,
             rows.append(SweepRow(T=T, ok=True, cost=res.total_cost,
                                  terminal_rel=res.terminal_rel,
                                  M_used=res.M_used, message=""))
-        except Exception as exc:
+        except NullCtrlError as exc:
             rows.append(SweepRow(T=T, ok=False, cost=float("nan"),
                                  terminal_rel=float("nan"), M_used=float("nan"),
                                  message=f"{type(exc).__name__}: {exc}"))

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from conftest import config_file
+from nullctrl import ObservabilityError, lebeau_robbiano
 from nullctrl.cli import main
 
 
@@ -155,6 +156,28 @@ class TestOtherCommands:
         assert lines[0] == "# nullctrl-csv v1 observability-sweep"
         assert lines[1] == "gamma,min_eigenvalue,log_inv,sqrt_gamma"
         assert len(lines) == 4
+
+    def test_cost_sweep_with_every_row_failing(self, tmp_path, monkeypatch,
+                                               capsys):
+        def fail(*args, **kwargs):
+            raise ObservabilityError("solve residual too large")
+
+        monkeypatch.setattr(lebeau_robbiano, "run_lr", fail)
+        rc = main(["cost-sweep", "--config", config_file("case3.json"),
+                   "--out", str(tmp_path)])
+        assert rc == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+        def no_constants(name):
+            raise ValueError(f"fit.json holds {name}, which is not JSON")
+
+        fit = json.loads((tmp_path / "fit.json").read_text(encoding="utf-8"),
+                         parse_constant=no_constants)
+        assert fit == {"alpha": None, "beta": None, "r_squared": None,
+                       "n_ok": 0}
+        rows = read_lines(tmp_path / "costsweep.csv")[2:]
+        assert len(rows) >= 4 and all(",0,nan," in row and "ObservabilityError" in row
+                   for row in rows)
 
     def test_cost_sweep_requires_four_horizons(self, capsys):
         rc = main(["cost-sweep", "--config", config_file("case3.json"),
