@@ -20,7 +20,7 @@ import numpy.typing as npt
 
 from .dynamics import ModeState, mode_propagators
 from .errors import (ControllabilityError, ObservabilityError,
-                     PropagationStepError, QuadratureError, ValidationError)
+                     QuadratureError, ValidationError)
 from .kalman import KalmanVerdict, kalman_certificate
 from .spectral import SpectralModel, SubdomainMask, mass_matrix
 from .system import CoupledSystem, FloatArray, _frozen

@@ -176,7 +176,8 @@ class TestOtherCommands:
         assert fit == {"alpha": None, "beta": None, "r_squared": None,
                        "n_ok": 0}
         rows = read_lines(tmp_path / "costsweep.csv")[2:]
-        assert len(rows) >= 4 and all(",0,nan," in row and "ObservabilityError" in row
+        assert len(rows) >= 4
+        assert all(",0,nan," in row and "ObservabilityError" in row
                    for row in rows)
 
     def test_cost_sweep_requires_four_horizons(self, capsys):

@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
-
 from scipy.linalg import expm
 
 from nullctrl import (ControllabilityError, ModeState, ObservabilityError,
                       PropagationStepError, QuadratureError, ValidationError,
-                      assemble_gramian,
-                      build_system, control_from_datum, control_inner_product,
-                      dirichlet_interval_model, full_domain_mask, full_state,
-                      mask_from_boxes, mode_propagators, observability_constant,
-                      project_high, project_low, propagate, simulate_forward,
-                      load_config, mass_matrix, synthesize_control)
+                      assemble_gramian, build_system, control_from_datum,
+                      control_inner_product, dirichlet_interval_model,
+                      full_domain_mask, full_state, load_config,
+                      mask_from_boxes, mass_matrix, mode_propagators,
+                      observability_constant, project_high, project_low,
+                      propagate, simulate_forward, synthesize_control)
 from conftest import config_file, dense_time_quadrature
 
 
