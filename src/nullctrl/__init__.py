@@ -9,9 +9,8 @@ the dyadic active/passive controller whose cost law it measures.
 
 from .config import ExperimentConfig, load_config, parse_config
 from .dynamics import (DissipationReport, ModeState, dissipation_check,
-                       full_state, mode_matrix, mode_propagators, project_high,
-                       project_low, propagate, recombine, reconstruct,
-                       single_mode_state)
+                       full_state, mode_propagators, project_high, project_low,
+                       propagate, recombine, reconstruct, single_mode_state)
 from .errors import (AdaptationError, CoercivityError, ConfigError,
                      ControllabilityError, InvalidKernelError, NullCtrlError,
                      ObservabilityError, PropagationStepError, QuadratureError,
@@ -79,7 +78,6 @@ __all__ = [
     "mask_from_boxes",
     "mass_matrix",
     "minor_polynomials",
-    "mode_matrix",
     "mode_propagators",
     "observability_constant",
     "parse_config",

@@ -130,6 +130,15 @@ def _read_y0_csv(path: str, cfg: ExperimentConfig) -> ModeState:
     return full_state(cfg.model, coef)
 
 
+def _y0(cfg: ExperimentConfig, args) -> ModeState:
+    """The ``--y0`` CSV if given, else phi_1 in equation 1."""
+    if getattr(args, "y0", None):
+        return _read_y0_csv(args.y0, cfg)
+    e1 = np.zeros(cfg.system.n)
+    e1[0] = 1.0
+    return single_mode_state(cfg.model, 0, e1)
+
+
 def _cmd_kalman_check(cfg: ExperimentConfig, args) -> int:
     verdict = kalman_certificate(cfg.system, cfg.model)
     if verdict.controllable:
@@ -183,12 +192,7 @@ def _cmd_synthesize(cfg: ExperimentConfig, args) -> int:
             "--gamma and --tau are required (or set experiment.gamma/tau)")
     gamma, tau = float(gamma), float(tau)
     quad_nodes = int(_default(args, cfg, "quad_nodes", 32))
-    if args.y0:
-        y0 = _read_y0_csv(args.y0, cfg)
-    else:
-        e1 = np.zeros(cfg.system.n)
-        e1[0] = 1.0
-        y0 = single_mode_state(cfg.model, 0, e1)
+    y0 = _y0(cfg, args)
     y0_low = project_low(y0, gamma)
     dropped = y0.num_modes - y0_low.num_modes
     if dropped:
@@ -248,17 +252,11 @@ def _cmd_observability_sweep(cfg: ExperimentConfig, args) -> int:
 def _cmd_lr_run(cfg: ExperimentConfig, args) -> int:
     T = float(_default(args, cfg, "T", 1.0))
     M = float(_default(args, cfg, "M", 4.0))
-    adapt = args.adapt if args.adapt is not None else bool(
-        cfg.experiment.get("adapt", True))
+    adapt = _default(args, cfg, "adapt", True)
     gamma_sim = _default(args, cfg, "gamma_sim")
     gamma_sim = float(gamma_sim) if gamma_sim is not None else None
     quad_nodes = int(_default(args, cfg, "quad_nodes", 32))
-    if args.y0:
-        y0 = _read_y0_csv(args.y0, cfg)
-    else:
-        e1 = np.zeros(cfg.system.n)
-        e1[0] = 1.0
-        y0 = single_mode_state(cfg.model, 0, e1)
+    y0 = _y0(cfg, args)
 
     result = run_lr(cfg.system, cfg.model, list(cfg.masks), y0, T, M,
                     adapt=adapt, gamma_sim=gamma_sim, quad_nodes=quad_nodes)
@@ -293,12 +291,9 @@ def _cmd_cost_sweep(cfg: ExperimentConfig, args) -> int:
     if isinstance(t_list, str):
         t_list = [float(t) for t in t_list.split(",") if t.strip()]
     M = float(_default(args, cfg, "M", 4.0))
-    adapt = args.adapt if args.adapt is not None else bool(
-        cfg.experiment.get("adapt", True))
+    adapt = _default(args, cfg, "adapt", True)
     quad_nodes = int(_default(args, cfg, "quad_nodes", 32))
-    e1 = np.zeros(cfg.system.n)
-    e1[0] = 1.0
-    y0 = single_mode_state(cfg.model, 0, e1)
+    y0 = _y0(cfg, args)
 
     sweep = cost_sweep(cfg.system, cfg.model, list(cfg.masks), y0, t_list, M,
                        adapt=adapt, quad_nodes=quad_nodes)

@@ -59,9 +59,10 @@ def _expect(doc: dict, key: str, kind, path: str, required: bool = True, default
     val = doc[key]
     if kind is float and isinstance(val, int) and not isinstance(val, bool):
         val = float(val)
-    if kind is not None and not isinstance(val, kind):
+    # JSON true/false parse to bool, which Python counts as an int
+    if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
         raise ConfigError(
-            f"{path}.{key}: expected {getattr(kind, '__name__', kind)}, "
+            f"{path}.{key}: expected {kind.__name__}, "
             f"got {type(val).__name__}"
         )
     return val
@@ -147,20 +148,14 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"$.omegas[{i}]: {exc}") from exc
 
     experiment = _expect(doc, "experiment", dict, "$", required=False, default={})
-    for key, val in experiment.items():
+    for key in experiment:
         if key not in _EXPERIMENT_KEYS:
             raise ConfigError(f"$.experiment.{key}: unknown field")
-        kind_t = _EXPERIMENT_KEYS[key]
-        if kind_t is float and isinstance(val, int) and not isinstance(val, bool):
-            experiment[key] = float(val)
-        elif not isinstance(val, kind_t) or (kind_t is int and isinstance(val, bool)):
-            raise ConfigError(
-                f"$.experiment.{key}: expected {kind_t.__name__}, "
-                f"got {type(val).__name__}"
-            )
+        experiment[key] = _expect(experiment, key, _EXPERIMENT_KEYS[key],
+                                  "$.experiment")
 
     seed = _expect(doc, "seed", int, "$", required=False, default=0)
-    if isinstance(seed, bool) or seed < 0:
+    if seed < 0:
         raise ConfigError(f"$.seed: expected a nonnegative integer, got {seed!r}")
     output_dir = _expect(doc, "output_dir", str, "$", required=False, default=".")
 

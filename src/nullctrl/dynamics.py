@@ -132,9 +132,29 @@ def single_mode_state(model: SpectralModel, mode_index: int, vector: npt.ArrayLi
     )
 
 
-def mode_matrix(system: CoupledSystem, gamma: float) -> FloatArray:
-    """The generator ``gamma*D + Q`` of a single mode (gamma > 0)."""
-    return system.mode_matrix(gamma)
+def mode_positions(mode_set: npt.NDArray[np.int64], mode_indices: npt.ArrayLike,
+                   what: str) -> npt.NDArray[np.intp]:
+    """Positions of ``mode_indices`` in the sorted ``mode_set``.
+
+    Raises
+    ------
+    ValidationError
+        If some index is not in the set; ``what`` names its owner.
+    """
+    pos = np.searchsorted(mode_set, mode_indices)
+    K = len(mode_set)
+    if np.any(pos >= K) or np.any(mode_set[np.minimum(pos, K - 1)] != mode_indices):
+        outside = np.setdiff1d(mode_indices, mode_set)
+        raise ValidationError(f"{what} carries modes {outside.tolist()} outside "
+                              f"the {K}-mode set")
+    return pos
+
+
+def embed(state: ModeState, mode_set: npt.NDArray[np.int64], what: str) -> FloatArray:
+    """The state's coefficients on the sorted ``mode_set``, zero elsewhere."""
+    coef = np.zeros((len(mode_set), state.coefficients.shape[1]))
+    coef[mode_positions(mode_set, state.mode_indices, what)] = state.coefficients
+    return coef
 
 
 def mode_propagators(system: CoupledSystem, eigenvalues: FloatArray,
@@ -176,30 +196,26 @@ def propagate(system: CoupledSystem, state: ModeState, dt: float,
     return replace(state, coefficients=_frozen(coef), time=state.time + dt)
 
 
-def project_low(state: ModeState, gamma: float) -> ModeState:
-    """Retain modes with eigenvalue <= gamma (the low-frequency part)."""
+def _project(state: ModeState, gamma: float, low: bool) -> ModeState:
     if not gamma > 0.0:
         raise ValidationError(f"gamma must be positive, got {gamma}")
-    keep = state.eigenvalues <= gamma
+    keep = state.eigenvalues <= gamma if low else state.eigenvalues > gamma
     return replace(
         state,
         mode_indices=_frozen(state.mode_indices[keep], np.int64),
         eigenvalues=_frozen(state.eigenvalues[keep]),
         coefficients=_frozen(state.coefficients[keep]),
     )
+
+
+def project_low(state: ModeState, gamma: float) -> ModeState:
+    """Retain modes with eigenvalue <= gamma (the low-frequency part)."""
+    return _project(state, gamma, low=True)
 
 
 def project_high(state: ModeState, gamma: float) -> ModeState:
     """Retain modes with eigenvalue > gamma (complement of project_low)."""
-    if not gamma > 0.0:
-        raise ValidationError(f"gamma must be positive, got {gamma}")
-    keep = state.eigenvalues > gamma
-    return replace(
-        state,
-        mode_indices=_frozen(state.mode_indices[keep], np.int64),
-        eigenvalues=_frozen(state.eigenvalues[keep]),
-        coefficients=_frozen(state.coefficients[keep]),
-    )
+    return _project(state, gamma, low=False)
 
 
 def recombine(low: ModeState, high: ModeState) -> ModeState:

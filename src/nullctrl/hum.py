@@ -9,6 +9,11 @@ of this package (mode coefficients, subdomain mass matrices, Gauss
 time grids), so the synthesized control is exact for the truncated
 system up to quadrature and solver tolerances that are measured, not
 assumed.
+
+Every control is built by one routine, from its adjoint datum sampled
+on a Gauss grid, and every control norm or inner product comes from
+one subdomain-mass quadrature, so a synthesized control and the one
+rebuilt from its datum on the Gramian's grid agree bit for bit.
 """
 
 from __future__ import annotations
@@ -18,11 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from .dynamics import ModeState, mode_propagators
+from .dynamics import ModeState, embed, mode_positions, mode_propagators
 from .errors import (ControllabilityError, ObservabilityError,
                      QuadratureError, ValidationError)
 from .kalman import KalmanVerdict, kalman_certificate
-from .spectral import SpectralModel, SubdomainMask, mass_matrix
+from .spectral import SpectralModel, SubdomainMask, _leggauss, mass_matrix
 from .system import CoupledSystem, FloatArray, _frozen
 
 QUAD_RTOL = 1e-10
@@ -34,7 +39,7 @@ MAX_REFINEMENTS = 8
 
 def gauss_rule(a: float, b: float, npts: int) -> tuple[FloatArray, FloatArray]:
     """Gauss-Legendre nodes and weights on [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(npts)
+    x, w = _leggauss(npts)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
 
@@ -45,6 +50,25 @@ def _adjoint_flows(system: CoupledSystem, gammas: FloatArray, tau: float,
     # times may overshoot tau by the roundoff beta_at tolerates
     gaps = np.maximum(tau - np.asarray(times, dtype=float), 0.0)
     return mode_propagators(system, gammas, gaps, adjoint=True)
+
+
+def _beta(system: CoupledSystem, gammas: FloatArray, tau: float,
+          times: FloatArray, Z: FloatArray) -> FloatArray:
+    """Control coefficients ``R^T E(t) z`` at window times, shape (T, m, K)."""
+    flows = _adjoint_flows(system, gammas, tau, times)
+    return np.einsum("ai,tkab,kb->tik", system.R, flows, Z, optimize=True)
+
+
+def _control_inner(model: SpectralModel, masks: list[SubdomainMask],
+                   mode_indices: npt.NDArray[np.int64], weights: FloatArray,
+                   bu: FloatArray, bv: FloatArray) -> float:
+    """Channel-summed L2 product of two coefficient samples on one grid."""
+    total = 0.0
+    for i, mask in enumerate(masks):
+        mass = mass_matrix(model, mask, mode_indices)
+        total += np.einsum("t,tk,kl,tl->", weights, bu[:, i, :], mass,
+                           bv[:, i, :], optimize=True)
+    return float(total)
 
 
 @dataclass(frozen=True)
@@ -185,22 +209,9 @@ class ControlTrajectory:
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         if np.any(t_arr < self.t0 - 1e-12) or np.any(t_arr > self.t1 + 1e-12):
             raise ValidationError("time outside the control window")
-        flows = _adjoint_flows(self.system, self.eigenvalues, self.tau,
-                               t_arr - self.t0)
-        beta = np.einsum("ai,tkab,kb->tik", self.system.R, flows, self.datum,
-                         optimize=True)
+        beta = _beta(self.system, self.eigenvalues, self.tau, t_arr - self.t0,
+                     self.datum)
         return beta[0] if np.ndim(t) == 0 else beta
-
-    def norm_from_samples(self, model: SpectralModel,
-                          masks: list[SubdomainMask]) -> float:
-        """Recompute the control norm from the stored grid samples."""
-        total = 0.0
-        for i, mask in enumerate(masks):
-            mass = mass_matrix(model, mask, self.mode_indices)
-            total += np.einsum("t,tk,kl,tl->", self.weights,
-                               self.coefficients[:, i, :], mass,
-                               self.coefficients[:, i, :], optimize=True)
-        return float(np.sqrt(max(total, 0.0)))
 
     @property
     def norm(self) -> float:
@@ -252,13 +263,7 @@ def synthesize_control(system: CoupledSystem, model: SpectralModel,
     gammas = gramian.eigenvalues
     K, n = len(idx), system.n
 
-    a0 = np.zeros((K, n))
-    if y0_low.num_modes:
-        pos = np.searchsorted(idx, y0_low.mode_indices)
-        if np.any(pos >= K) or np.any(idx[np.minimum(pos, K - 1)] != y0_low.mode_indices):
-            raise ValidationError("y0_low carries modes outside the Gramian mode set")
-        a0[pos] = y0_low.coefficients
-
+    a0 = embed(y0_low, idx, "y0_low")
     props = mode_propagators(system, gammas, tau)
     b = np.einsum("kab,kb->ka", props, a0).reshape(K * n)
     b_norm = float(np.linalg.norm(b))
@@ -298,28 +303,29 @@ def synthesize_control(system: CoupledSystem, model: SpectralModel,
                 f"{resid:.3e} exceeds {SOLVE_RTOL:.0e} * |b| = {SOLVE_RTOL * b_norm:.3e}"
             )
 
-    Z = zhat.reshape(K, n)
-    flows = _adjoint_flows(system, gammas, tau, gramian.nodes)
-    beta = np.einsum("ai,tkab,kb->tik", system.R, flows, Z, optimize=True)
+    return _control_on_grid(system, model, masks, zhat.reshape(K, n), gamma_cut,
+                            tau, t0, gramian.nodes, gramian.weights)
 
-    norm_sq = 0.0
-    for i, mask in enumerate(masks):
-        mass = mass_matrix(model, mask, idx)
-        norm_sq += np.einsum("t,tk,kl,tl->", gramian.weights, beta[:, i, :],
-                             mass, beta[:, i, :], optimize=True)
 
+def _control_on_grid(system: CoupledSystem, model: SpectralModel,
+                     masks: list[SubdomainMask], datum: npt.ArrayLike,
+                     gamma_cut: float, tau: float, t0: float,
+                     nodes: FloatArray, weights: FloatArray) -> ControlTrajectory:
+    """The control of adjoint datum ``datum``, sampled on a rule of [0, tau]."""
+    idx = np.flatnonzero(model.eigenvalues <= gamma_cut)
+    gammas = model.eigenvalues[idx]
+    Z = np.asarray(datum, dtype=float)
+    if Z.shape != (len(idx), system.n):
+        raise ValidationError(
+            f"datum must have shape ({len(idx)}, {system.n}), got {Z.shape}"
+        )
+    beta = _beta(system, gammas, tau, nodes, Z)
     return ControlTrajectory(
-        system=system,
-        t0=float(t0),
-        tau=float(tau),
-        gamma_cut=float(gamma_cut),
-        mode_indices=idx,
-        eigenvalues=gammas,
-        datum=_frozen(Z),
-        nodes=_frozen(t0 + gramian.nodes),
-        weights=gramian.weights,
+        system=system, t0=float(t0), tau=float(tau), gamma_cut=float(gamma_cut),
+        mode_indices=_frozen(idx, np.int64), eigenvalues=_frozen(gammas),
+        datum=_frozen(Z), nodes=_frozen(t0 + nodes), weights=_frozen(weights),
         coefficients=_frozen(beta),
-        norm_sq=float(norm_sq),
+        norm_sq=_control_inner(model, masks, idx, weights, beta, beta),
     )
 
 
@@ -333,29 +339,11 @@ def control_from_datum(system: CoupledSystem, model: SpectralModel,
     flow is admissible; the HUM optimum is the special member whose
     datum solves the Gramian equation.  This constructor exists so that
     arbitrary members of the family (test directions, perturbations)
-    can be manipulated with the same machinery.
+    can be manipulated with the same machinery; on the Gramian's grid
+    it reproduces :func:`synthesize_control` exactly.
     """
-    idx = np.flatnonzero(model.eigenvalues <= gamma_cut)
-    gammas = model.eigenvalues[idx]
-    Z = np.asarray(datum, dtype=float)
-    if Z.shape != (len(idx), system.n):
-        raise ValidationError(
-            f"datum must have shape ({len(idx)}, {system.n}), got {Z.shape}"
-        )
-    nodes, weights = gauss_rule(0.0, tau, quad_nodes)
-    flows = _adjoint_flows(system, gammas, tau, nodes)
-    beta = np.einsum("ai,tkab,kb->tik", system.R, flows, Z, optimize=True)
-    norm_sq = 0.0
-    for i, mask in enumerate(masks):
-        mass = mass_matrix(model, mask, idx)
-        norm_sq += np.einsum("t,tk,kl,tl->", weights, beta[:, i, :], mass,
-                             beta[:, i, :], optimize=True)
-    return ControlTrajectory(
-        system=system, t0=float(t0), tau=float(tau), gamma_cut=float(gamma_cut),
-        mode_indices=_frozen(idx, np.int64), eigenvalues=_frozen(gammas),
-        datum=_frozen(Z), nodes=_frozen(t0 + nodes), weights=_frozen(weights),
-        coefficients=_frozen(beta), norm_sq=float(norm_sq),
-    )
+    return _control_on_grid(system, model, masks, datum, gamma_cut, tau, t0,
+                            *gauss_rule(0.0, tau, quad_nodes))
 
 
 def control_inner_product(model: SpectralModel, masks: list[SubdomainMask],
@@ -372,14 +360,8 @@ def control_inner_product(model: SpectralModel, masks: list[SubdomainMask],
     if not np.array_equal(u.mode_indices, v.mode_indices):
         raise ValidationError("controls use different mode sets")
     nodes, weights = gauss_rule(u.t0, u.t1, npts)
-    bu = u.beta_at(nodes)
-    bv = v.beta_at(nodes)
-    total = 0.0
-    for i, mask in enumerate(masks):
-        mass = mass_matrix(model, mask, u.mode_indices)
-        total += np.einsum("t,tk,kl,tl->", weights, bu[:, i, :], mass,
-                           bv[:, i, :], optimize=True)
-    return float(total)
+    return _control_inner(model, masks, u.mode_indices, weights,
+                          u.beta_at(nodes), v.beta_at(nodes))
 
 
 def simulate_forward(system: CoupledSystem, model: SpectralModel,
@@ -425,27 +407,16 @@ def simulate_forward(system: CoupledSystem, model: SpectralModel,
         )
     sim_idx = np.flatnonzero(model.eigenvalues <= gamma_sim)
     sim_gammas = model.eigenvalues[sim_idx]
-    Ks = len(sim_idx)
-
-    a = np.zeros((Ks, system.n))
-    if y0.num_modes:
-        pos = np.searchsorted(sim_idx, y0.mode_indices)
-        if np.any(pos >= Ks) or np.any(sim_idx[np.minimum(pos, Ks - 1)] != y0.mode_indices):
-            raise ValidationError("y0 carries modes above gamma_sim")
-        a[pos] = y0.coefficients
-
+    a = embed(y0, sim_idx, "y0 (simulated up to gamma_sim)")
     # cross mass rows: how channel i forces every simulated mode
-    ctrl_pos = np.searchsorted(sim_idx, control.mode_indices)
-    if np.any(ctrl_pos >= Ks) or np.any(
-            sim_idx[np.minimum(ctrl_pos, Ks - 1)] != control.mode_indices):
-        raise ValidationError("control acts on modes outside the simulated set")
+    ctrl_pos = mode_positions(sim_idx, control.mode_indices, "the control")
     cross = np.stack([
         mass_matrix(model, mask, sim_idx)[:, ctrl_pos] for mask in masks
     ])  # (m, Ks, Kc)
 
     bounds = np.concatenate([[control.t0], control.nodes, [control.t1]])
     lo, hi = bounds[:-1], bounds[1:]
-    inner_x, inner_w = np.polynomial.legendre.leggauss(4)
+    inner_x, inner_w = _leggauss(4)
     half = 0.5 * (hi - lo)
     s_times = (0.5 * (lo + hi))[:, None] + half[:, None] * inner_x     # (J, 4)
     s_weights = half[:, None] * inner_w

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ModeState, full_state, project_high, project_low, propagate
+from .dynamics import (ModeState, embed, full_state, project_high, project_low,
+                       propagate)
 from .errors import (AdaptationError, ControllabilityError, NullCtrlError,
                      ScheduleError, ValidationError)
 from .hum import ControlTrajectory, simulate_forward, synthesize_control
@@ -153,12 +154,6 @@ class _ContractionFailure(Exception):
         self.ratio = ratio
 
 
-def _embed_full(model: SpectralModel, y0: ModeState) -> ModeState:
-    coef = np.zeros((model.num_modes, y0.coefficients.shape[1]))
-    coef[y0.mode_indices] = y0.coefficients
-    return full_state(model, coef, time=y0.time)
-
-
 def _run_once(system, model, masks, y0_full, schedule, gamma_sim, quad_nodes,
               verdict, adapt):
     records: list[WindowRecord] = []
@@ -236,7 +231,8 @@ def run_lr(system: CoupledSystem, model: SpectralModel,
     if abs(y0.time) > 0.0:
         raise ValidationError(f"y0 must be timestamped 0, got {y0.time}")
 
-    y0_full = _embed_full(model, y0)
+    y0_full = full_state(model, embed(y0, np.arange(model.num_modes), "y0"),
+                         time=y0.time)
     y0_norm = y0_full.norm()
     M_cur = float(M)
     doublings = 0

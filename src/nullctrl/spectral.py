@@ -17,7 +17,7 @@ point arithmetic rather than only asymptotically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -31,9 +31,16 @@ FloatArray = npt.NDArray[np.float64]
 _GAUSS_PTS_PER_PANEL = 12
 
 
+@lru_cache(maxsize=None)
+def _leggauss(npts: int) -> tuple[FloatArray, FloatArray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once."""
+    x, w = np.polynomial.legendre.leggauss(npts)
+    return _frozen(x), _frozen(w)
+
+
 def _composite_gauss(length: float, panels: int) -> tuple[FloatArray, FloatArray]:
     """Composite Gauss-Legendre rule on [0, length] with 12 points per panel."""
-    x, w = np.polynomial.legendre.leggauss(_GAUSS_PTS_PER_PANEL)
+    x, w = _leggauss(_GAUSS_PTS_PER_PANEL)
     edges = np.linspace(0.0, length, panels + 1)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])

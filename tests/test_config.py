@@ -128,6 +128,10 @@ class TestSchemaValidation:
         doc["experiment"] = {"trials": True}
         with pytest.raises(ConfigError, match=r"\$\.experiment\.trials"):
             parse_config(json.dumps(doc))
+        doc = minimal_doc()
+        doc["model"]["num_modes"] = True
+        with pytest.raises(ConfigError, match=r"\$\.model\.num_modes"):
+            parse_config(json.dumps(doc))
 
 
 class TestOmegas:

@@ -1,22 +1,41 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import nullctrl
 from nullctrl import (ModeState, PropagationStepError, ValidationError,
                       build_system, dirichlet_interval_model,
                       dissipation_check, full_state, mode_propagators,
                       project_high, project_low, propagate, recombine,
                       reconstruct, single_mode_state)
-from nullctrl.dynamics import STEP_BOUND, expm_stack, mode_matrix
+from nullctrl.dynamics import STEP_BOUND, expm_stack
 from conftest import taylor_expm
 
 
 def test_mode_matrix_values(case3_system):
     s = build_system(D=np.eye(2), Q=np.zeros((2, 2)), R=np.eye(2))
-    np.testing.assert_allclose(mode_matrix(s, 4.0), 4.0 * np.eye(2))
-    np.testing.assert_allclose(mode_matrix(case3_system, 2.0),
+    np.testing.assert_allclose(s.mode_matrix(4.0), 4.0 * np.eye(2))
+    np.testing.assert_allclose(case3_system.mode_matrix(2.0),
                                [[2.0, 0.0], [1.0, 2.0]])
     with pytest.raises(ValidationError):
-        mode_matrix(s, 0.0)
+        s.mode_matrix(0.0)
+
+
+def test_package_imports_nothing_from_scipy():
+    # expm_stack is the one flow kernel; scipy stays a test oracle only
+    src = Path(nullctrl.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n == "scipy" or n.startswith("scipy.") for n in names), \
+                f"{path.name}:{node.lineno} imports {names}"
 
 
 def test_propagators_match_taylor_series_oracle():

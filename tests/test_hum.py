@@ -137,10 +137,24 @@ def test_control_norm_recomputable(case3_system, interval10, narrow_mask10):
     y0 = project_low(full_state(interval10, rng.standard_normal((10, 2))), 25.0)
     c = synthesize_control(case3_system, interval10, narrow_mask10, y0,
                            25.0, 0.5)
-    recomputed = c.norm_from_samples(interval10, narrow_mask10)
-    assert recomputed == pytest.approx(c.norm, rel=1e-10)
     ip = control_inner_product(interval10, narrow_mask10, c, c)
     assert ip == pytest.approx(c.norm_sq, rel=1e-10)
+
+
+def test_control_from_datum_reproduces_synthesized_control(
+        case3_system, interval10, narrow_mask10):
+    # both are built by one routine, so on the Gramian's grid they agree
+    # bit for bit
+    rng = np.random.default_rng(10)
+    y0 = project_low(full_state(interval10, rng.standard_normal((10, 2))), 25.0)
+    g = assemble_gramian(case3_system, interval10, narrow_mask10, 25.0, 0.5)
+    c = synthesize_control(case3_system, interval10, narrow_mask10, y0,
+                           25.0, 0.5, gramian=g)
+    d = control_from_datum(case3_system, interval10, narrow_mask10, c.datum,
+                           25.0, 0.5, quad_nodes=len(g.nodes))
+    assert np.array_equal(d.coefficients, c.coefficients)
+    assert d.norm_sq == c.norm_sq
+    assert np.array_equal(d.nodes, c.nodes)
 
 
 def test_beta_at_reproduces_grid_samples(case3_system, interval10,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nullctrl import (AdaptationError, ControllabilityError,
+from nullctrl import (AdaptationError, ControllabilityError, ModeState,
                       ObservabilityError, ScheduleError, ValidationError,
                       build_schedule, build_system, cost_sweep,
                       dirichlet_interval_model, full_state, mask_from_boxes,
@@ -131,6 +131,16 @@ def test_run_lr_validation(scalar_system, interval10, narrow_mask10):
     late = full_state(interval10, np.ones((10, 1)), time=0.5)
     with pytest.raises(ValidationError):
         run_lr(scalar_system, interval10, narrow_mask10, late, 1.0)
+
+
+def test_run_lr_rejects_modes_outside_model(case3_system, interval10,
+                                            narrow_mask10):
+    # -1 would wrap onto the top mode and 10 would overrun the model
+    for k in (-1, interval10.num_modes):
+        y0 = ModeState(mode_indices=np.array([k]), eigenvalues=np.array([1.0]),
+                       coefficients=np.array([[1.0, 0.0]]))
+        with pytest.raises(ValidationError, match=rf"\[{k}\]"):
+            run_lr(case3_system, interval10, narrow_mask10, y0, 1.0)
 
 
 def test_run_lr_weak_window_reported(case3_system, interval10, narrow_mask10):
