@@ -17,7 +17,7 @@ from .errors import (AdaptationError, CoercivityError, ConfigError,
                      ScheduleError, ValidationError)
 from .hum import (ControlTrajectory, Gramian, assemble_gramian,
                   control_from_datum, control_inner_product, gauss_rule,
-                  observability_constant, simulate_forward, synthesize_control)
+                  simulate_forward, synthesize_control)
 from .kalman import (InvisibleSolution, KalmanVerdict, bad_set, build_Kp,
                      invisible_adjoint_solution, kalman_certificate,
                      kernel_vector, minor_polynomials, rank_at)
@@ -79,7 +79,6 @@ __all__ = [
     "mass_matrix",
     "minor_polynomials",
     "mode_propagators",
-    "observability_constant",
     "parse_config",
     "project_high",
     "project_low",

@@ -10,10 +10,15 @@ time grids), so the synthesized control is exact for the truncated
 system up to quadrature and solver tolerances that are measured, not
 assumed.
 
-Every control is built by one routine, from its adjoint datum sampled
-on a Gauss grid, and every control norm or inner product comes from
-one subdomain-mass quadrature, so a synthesized control and the one
-rebuilt from its datum on the Gramian's grid agree bit for bit.
+A :class:`Gramian` owns its window: besides the matrix it keeps the
+mode set, the Gauss grid, the subdomain masks it observed through and
+their mass matrices on that mode set.  Synthesis builds the control
+from those alone, and rejects a Gramian whose masks are not the ones
+the caller passes, since its controls would act on the wrong
+subdomains.  Every control is built by one routine, from its adjoint
+datum sampled on a Gauss grid, and every control norm or inner product
+comes from one subdomain-mass quadrature, so a synthesized control and
+the one rebuilt from its datum on the Gramian's grid agree bit for bit.
 """
 
 from __future__ import annotations
@@ -59,13 +64,26 @@ def _beta(system: CoupledSystem, gammas: FloatArray, tau: float,
     return np.einsum("ai,tkab,kb->tik", system.R, flows, Z, optimize=True)
 
 
-def _control_inner(model: SpectralModel, masks: list[SubdomainMask],
-                   mode_indices: npt.NDArray[np.int64], weights: FloatArray,
+def _window_masses(model: SpectralModel, masks: list[SubdomainMask],
+                   mode_indices: npt.NDArray[np.int64]) -> tuple[FloatArray, ...]:
+    """Read-only subdomain mass matrix of each channel on a mode set."""
+    masses = tuple(mass_matrix(model, mask, mode_indices) for mask in masks)
+    for mass in masses:
+        mass.flags.writeable = False
+    return masses
+
+
+def _same_masks(a: list[SubdomainMask], b: list[SubdomainMask]) -> bool:
+    return len(a) == len(b) and all(
+        u.channel == v.channel and np.array_equal(u.member, v.member)
+        for u, v in zip(a, b))
+
+
+def _control_inner(masses: tuple[FloatArray, ...], weights: FloatArray,
                    bu: FloatArray, bv: FloatArray) -> float:
     """Channel-summed L2 product of two coefficient samples on one grid."""
     total = 0.0
-    for i, mask in enumerate(masks):
-        mass = mass_matrix(model, mask, mode_indices)
+    for i, mass in enumerate(masses):
         total += np.einsum("t,tk,kl,tl->", weights, bu[:, i, :], mass,
                            bv[:, i, :], optimize=True)
     return float(total)
@@ -79,6 +97,12 @@ class Gramian:
     with eigenvalue <= ``gamma_cut``), flattened mode-major.  Its
     smallest eigenvalue is the squared observability constant of the
     truncated system and is cached at construction.
+
+    ``masks`` are the per-channel subdomains the adjoint flow was
+    observed through and ``masses`` their (K, K) mass matrices on
+    ``mode_indices``, one per channel.  The Gramian is valid only for
+    those masks: :func:`synthesize_control` rejects it when the caller's
+    masks differ in number, channel or member nodes.
     """
 
     gamma_cut: float
@@ -89,6 +113,8 @@ class Gramian:
     min_eigenvalue: float
     nodes: FloatArray
     weights: FloatArray
+    masks: tuple[SubdomainMask, ...]
+    masses: tuple[FloatArray, ...]
 
     @property
     def dim(self) -> int:
@@ -96,7 +122,7 @@ class Gramian:
 
 
 def _gramian_entries(system: CoupledSystem, gammas: FloatArray,
-                     masses: list[FloatArray], tau: float, npts: int,
+                     masses: tuple[FloatArray, ...], tau: float, npts: int,
                      ) -> tuple[FloatArray, FloatArray, FloatArray]:
     nodes, weights = gauss_rule(0.0, tau, npts)
     flows = _adjoint_flows(system, gammas, tau, nodes)
@@ -141,7 +167,7 @@ def assemble_gramian(system: CoupledSystem, model: SpectralModel,
 
     idx = np.flatnonzero(model.eigenvalues <= gamma_cut)
     gammas = model.eigenvalues[idx]
-    masses = [mass_matrix(model, mask, idx) for mask in masks]
+    masses = _window_masses(model, masks, idx)
 
     npts = quad_nodes
     G, nodes, weights = _gramian_entries(system, gammas, masses, tau, npts)
@@ -161,6 +187,8 @@ def assemble_gramian(system: CoupledSystem, model: SpectralModel,
                 min_eigenvalue=float(eigs[0]),
                 nodes=_frozen(nodes),
                 weights=_frozen(weights),
+                masks=tuple(masks),
+                masses=masses,
             )
         G = G_fine
     raise QuadratureError(
@@ -168,13 +196,6 @@ def assemble_gramian(system: CoupledSystem, model: SpectralModel,
         f"(final grid {npts} nodes, last change "
         f"{np.abs(G - G_fine).max():.3e} vs target {QUAD_RTOL * np.abs(G_fine).max():.3e})"
     )
-
-
-def observability_constant(system: CoupledSystem, model: SpectralModel,
-                           masks: list[SubdomainMask], gamma_cut: float,
-                           tau: float, quad_nodes: int = 32) -> float:
-    """Smallest Gramian eigenvalue at the given cutoff and horizon."""
-    return assemble_gramian(system, model, masks, gamma_cut, tau, quad_nodes).min_eigenvalue
 
 
 @dataclass(frozen=True)
@@ -231,12 +252,17 @@ def synthesize_control(system: CoupledSystem, model: SpectralModel,
     spectral cutoff 1e-12 and iterative refinement (at most 8 passes,
     continued while each pass at least halves the residual), then
     evaluates the control ``beta = R^T z(t)`` on the Gramian's Gauss grid.
+    A supplied ``gramian`` must have been assembled for the same
+    ``(gamma_cut, tau)`` and on ``masks``.
 
     Raises
     ------
     ControllabilityError
         If the Kalman certificate fails (checked here unless a verdict
         is supplied by the caller).
+    ValidationError
+        If ``y0_low`` carries modes above ``gamma_cut``, or a supplied
+        Gramian was built for another cutoff, horizon or set of masks.
     ObservabilityError
         If the regularized solve leaves a residual above 1e-8 * |b|.
     """
@@ -256,6 +282,8 @@ def synthesize_control(system: CoupledSystem, model: SpectralModel,
     else:
         if abs(gramian.gamma_cut - gamma_cut) > 0 or abs(gramian.tau - tau) > 0:
             raise ValidationError("supplied Gramian was built for different (gamma, tau)")
+        if not _same_masks(masks, gramian.masks):
+            raise ValidationError("supplied Gramian was built on different masks")
     if t0 is None:
         t0 = y0_low.time
 
@@ -303,29 +331,25 @@ def synthesize_control(system: CoupledSystem, model: SpectralModel,
                 f"{resid:.3e} exceeds {SOLVE_RTOL:.0e} * |b| = {SOLVE_RTOL * b_norm:.3e}"
             )
 
-    return _control_on_grid(system, model, masks, zhat.reshape(K, n), gamma_cut,
-                            tau, t0, gramian.nodes, gramian.weights)
+    return _control_on_grid(system, zhat.reshape(K, n), gamma_cut, tau, t0,
+                            idx, gammas, gramian.masses, gramian.nodes,
+                            gramian.weights)
 
 
-def _control_on_grid(system: CoupledSystem, model: SpectralModel,
-                     masks: list[SubdomainMask], datum: npt.ArrayLike,
+def _control_on_grid(system: CoupledSystem, datum: FloatArray,
                      gamma_cut: float, tau: float, t0: float,
-                     nodes: FloatArray, weights: FloatArray) -> ControlTrajectory:
-    """The control of adjoint datum ``datum``, sampled on a rule of [0, tau]."""
-    idx = np.flatnonzero(model.eigenvalues <= gamma_cut)
-    gammas = model.eigenvalues[idx]
-    Z = np.asarray(datum, dtype=float)
-    if Z.shape != (len(idx), system.n):
-        raise ValidationError(
-            f"datum must have shape ({len(idx)}, {system.n}), got {Z.shape}"
-        )
-    beta = _beta(system, gammas, tau, nodes, Z)
+                     mode_indices: npt.NDArray[np.int64], gammas: FloatArray,
+                     masses: tuple[FloatArray, ...], nodes: FloatArray,
+                     weights: FloatArray) -> ControlTrajectory:
+    """The control of adjoint datum ``datum`` on a window's mode set,
+    sampled on a rule of [0, tau]."""
+    beta = _beta(system, gammas, tau, nodes, datum)
     return ControlTrajectory(
         system=system, t0=float(t0), tau=float(tau), gamma_cut=float(gamma_cut),
-        mode_indices=_frozen(idx, np.int64), eigenvalues=_frozen(gammas),
-        datum=_frozen(Z), nodes=_frozen(t0 + nodes), weights=_frozen(weights),
+        mode_indices=_frozen(mode_indices, np.int64), eigenvalues=_frozen(gammas),
+        datum=_frozen(datum), nodes=_frozen(t0 + nodes), weights=_frozen(weights),
         coefficients=_frozen(beta),
-        norm_sq=_control_inner(model, masks, idx, weights, beta, beta),
+        norm_sq=_control_inner(masses, weights, beta, beta),
     )
 
 
@@ -342,7 +366,15 @@ def control_from_datum(system: CoupledSystem, model: SpectralModel,
     can be manipulated with the same machinery; on the Gramian's grid
     it reproduces :func:`synthesize_control` exactly.
     """
-    return _control_on_grid(system, model, masks, datum, gamma_cut, tau, t0,
+    idx = np.flatnonzero(model.eigenvalues <= gamma_cut)
+    Z = np.asarray(datum, dtype=float)
+    if Z.shape != (len(idx), system.n):
+        raise ValidationError(
+            f"datum must have shape ({len(idx)}, {system.n}), got {Z.shape}"
+        )
+    return _control_on_grid(system, Z, gamma_cut, tau, t0, idx,
+                            model.eigenvalues[idx],
+                            _window_masses(model, masks, idx),
                             *gauss_rule(0.0, tau, quad_nodes))
 
 
@@ -360,7 +392,7 @@ def control_inner_product(model: SpectralModel, masks: list[SubdomainMask],
     if not np.array_equal(u.mode_indices, v.mode_indices):
         raise ValidationError("controls use different mode sets")
     nodes, weights = gauss_rule(u.t0, u.t1, npts)
-    return _control_inner(model, masks, u.mode_indices, weights,
+    return _control_inner(_window_masses(model, masks, u.mode_indices), weights,
                           u.beta_at(nodes), v.beta_at(nodes))
 
 

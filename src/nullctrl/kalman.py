@@ -31,6 +31,7 @@ from .system import CoupledSystem, FloatArray
 
 RANK_RTOL = 1e-10
 MATCH_RTOL = 1e-8
+SNAP_RTOL = 1e-3
 
 
 def build_Kp(system: CoupledSystem, gamma: float) -> FloatArray:
@@ -95,12 +96,9 @@ def minor_polynomials(system: CoupledSystem, gamma_lo: float) -> tuple[FloatArra
     lo, hi = gamma_lo, gamma_lo + deg + 1.0
     u = C.chebpts1(deg + 1)
     samples = lo + 0.5 * (u + 1.0) * (hi - lo)
-    cols = list(combinations(range(n * system.m), n))
-    vals = np.empty((deg + 1, len(cols)))
-    for i, g in enumerate(samples):
-        K = build_Kp(system, g)
-        for j, sel in enumerate(cols):
-            vals[i, j] = np.linalg.det(K[:, sel])
+    cols = np.array(list(combinations(range(n * system.m), n)))
+    K = np.stack([build_Kp(system, g) for g in samples])    # (deg+1, n, nm)
+    vals = np.linalg.det(K[:, :, cols].transpose(0, 2, 1, 3))
     coeffs = C.chebfit(u, vals, deg).T
     return samples, coeffs
 
@@ -150,6 +148,21 @@ def bad_set(system: CoupledSystem, gamma_lo: float) -> tuple[list[float], bool]:
     conditioned.)  The flag is True when the rank is below n at every
     sample point, i.e. the minors vanish identically.
     """
+    return _rank_drops(system, gamma_lo, np.empty(0))
+
+
+def _rank_drops(system: CoupledSystem, gamma_lo: float,
+                eigenvalues: FloatArray) -> tuple[list[float], bool]:
+    """:func:`bad_set`, with each candidate near one of ``eigenvalues``
+    checked there.
+
+    Fitted roots of high-degree minors can miss a true root by far more
+    than ``MATCH_RTOL`` or the rank threshold allow, but not by the
+    spacing of the spectrum.  A candidate within relative distance
+    ``SNAP_RTOL`` of an eigenvalue, and not already a confirmed match
+    for it, is therefore checked at the eigenvalue and, if the rank
+    drops there, reported once as the eigenvalue.
+    """
     samples, coeffs = minor_polynomials(system, gamma_lo)
     if all(rank_at(system, g) < system.n for g in samples):
         return [], True
@@ -168,8 +181,21 @@ def bad_set(system: CoupledSystem, gamma_lo: float) -> tuple[list[float], bool]:
                        <= 1e-6 * (1.0 + np.abs(roots_u.real))].real
         candidates.extend(lo + 0.5 * (real + 1.0) * (hi - lo))
     gammas = np.asarray(candidates)
-    confirmed = [g for g in _cluster(gammas[gammas > 0.0])
-                 if rank_at(system, g) < system.n]
+    confirmed: list[float] = []
+    for g in _cluster(gammas[gammas > 0.0]):
+        drops = rank_at(system, g) < system.n
+        if len(eigenvalues):
+            e = float(eigenvalues[np.argmin(np.abs(eigenvalues - g))])
+            gap = abs(g - e)
+            matched = drops and gap <= MATCH_RTOL * (1.0 + e)
+            if gap <= SNAP_RTOL * (1.0 + e) and not matched:
+                if e in confirmed:
+                    continue
+                if rank_at(system, e) < system.n:
+                    confirmed.append(e)
+                    continue
+        if drops:
+            confirmed.append(g)
     return confirmed, False
 
 
@@ -177,11 +203,13 @@ def kalman_certificate(system: CoupledSystem, model: SpectralModel) -> KalmanVer
     """Decide controllability of the system over the model's spectrum.
 
     The certificate is finite: it fits the minors once, extracts the
-    real roots where the rank can drop and compares them against the
-    model eigenvalues with relative tolerance 1e-8.
+    real roots where the rank can drop, confirms each one (at the model
+    eigenvalue it lies within relative distance 1e-3 of, if any) and
+    compares the confirmed values against the model eigenvalues with
+    relative tolerance 1e-8.
     """
     gamma_lo = float(model.eigenvalues[0])
-    bad, degenerate = bad_set(system, gamma_lo)
+    bad, degenerate = _rank_drops(system, gamma_lo, model.eigenvalues)
     if degenerate:
         g0 = gamma_lo
         return KalmanVerdict(

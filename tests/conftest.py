@@ -6,8 +6,11 @@ brute-force dense quadrature, so agreement is evidence rather than
 circularity.
 """
 
+import importlib.util
+import sys
 from importlib import resources
 from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,3 +89,14 @@ def wide_mask10(interval10):
 @pytest.fixture(scope="session")
 def full_mask10(interval10):
     return [full_domain_mask(interval10, 0)]
+
+
+@pytest.fixture(scope="session")
+def workloads():
+    """The benchmark's seeded inputs and ops, from ``perfbench/workloads.py``."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module    # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module

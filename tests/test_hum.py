@@ -8,8 +8,8 @@ from nullctrl import (ControllabilityError, ModeState, ObservabilityError,
                       control_inner_product, dirichlet_interval_model,
                       full_domain_mask, full_state, load_config,
                       mask_from_boxes, mass_matrix, mode_propagators,
-                      observability_constant, project_high, project_low,
-                      propagate, simulate_forward, synthesize_control)
+                      project_high, project_low, propagate, simulate_forward,
+                      synthesize_control)
 from conftest import config_file, dense_time_quadrature
 
 
@@ -35,7 +35,7 @@ def test_zero_observation_gives_zero_gramian(one_mode, one_mode_full):
     s = build_system([[1.0]], [[0.0]], [[0.0]])
     g = assemble_gramian(s, one_mode, one_mode_full, 1.0, 1.0)
     assert np.abs(g.matrix).max() == 0.0
-    assert observability_constant(s, one_mode, one_mode_full, 1.0, 1.0) == 0.0
+    assert g.min_eigenvalue == 0.0
 
 
 def test_full_domain_gramian_block_diagonal(case3_system, interval10):
@@ -72,8 +72,8 @@ def test_min_eigenvalue_monotone_in_subdomain(scalar_system, interval10):
     inner = [mask_from_boxes(interval10, 0, [[[0.2 * np.pi, 0.5 * np.pi]]])]
     outer = [mask_from_boxes(interval10, 0, [[[0.2 * np.pi, 0.8 * np.pi]]])]
     assert set(np.flatnonzero(inner[0].member)) <= set(np.flatnonzero(outer[0].member))
-    lam_in = observability_constant(scalar_system, interval10, inner, 25.0, 0.5)
-    lam_out = observability_constant(scalar_system, interval10, outer, 25.0, 0.5)
+    lam_in = assemble_gramian(scalar_system, interval10, inner, 25.0, 0.5).min_eigenvalue
+    lam_out = assemble_gramian(scalar_system, interval10, outer, 25.0, 0.5).min_eigenvalue
     assert lam_in <= lam_out + 1e-12
 
 
@@ -155,6 +155,40 @@ def test_control_from_datum_reproduces_synthesized_control(
     assert np.array_equal(d.coefficients, c.coefficients)
     assert d.norm_sq == c.norm_sq
     assert np.array_equal(d.nodes, c.nodes)
+    # the Gramian keeps the masks it observed through and their masses,
+    # which synthesis reuses instead of rebuilding them
+    assert len(g.masks) == len(g.masses) == 1
+    assert g.masks[0] is narrow_mask10[0]
+    assert np.array_equal(g.masses[0], mass_matrix(interval10, narrow_mask10[0],
+                                                   g.mode_indices))
+
+
+def test_gramian_on_other_masks_rejected(case3_system, interval10,
+                                         narrow_mask10):
+    # a Gramian observed through the whole domain yields a control that
+    # misses zero on the narrow mask (terminal_rel 0.29 on this y0,
+    # against 2e-13 with the matching Gramian), so synthesis refuses it
+    rng = np.random.default_rng(11)
+    y0 = project_low(full_state(interval10, rng.standard_normal((10, 2))), 25.0)
+    wide = assemble_gramian(case3_system, interval10,
+                            [full_domain_mask(interval10, 0)], 25.0, 0.5)
+    with pytest.raises(ValidationError, match="different masks"):
+        synthesize_control(case3_system, interval10, narrow_mask10, y0,
+                           25.0, 0.5, gramian=wide)
+    g = assemble_gramian(case3_system, interval10, narrow_mask10, 25.0, 0.5)
+    relabelled = [mask_from_boxes(interval10, 1, [[[0.2 * np.pi, 0.5 * np.pi]]])]
+    assert np.array_equal(relabelled[0].member, narrow_mask10[0].member)
+    with pytest.raises(ValidationError, match="different masks"):
+        synthesize_control(case3_system, interval10, relabelled, y0,
+                           25.0, 0.5, gramian=g)
+    with pytest.raises(ValidationError, match="different masks"):
+        synthesize_control(case3_system, interval10, narrow_mask10 * 2, y0,
+                           25.0, 0.5, gramian=g)
+    c = synthesize_control(case3_system, interval10, narrow_mask10, y0,
+                           25.0, 0.5, gramian=g)
+    states = simulate_forward(case3_system, interval10, narrow_mask10, y0, c,
+                              25.0)
+    assert states[-1].norm() <= 1e-8 * y0.norm()
 
 
 def test_beta_at_reproduces_grid_samples(case3_system, interval10,
@@ -177,7 +211,7 @@ def test_uncontrollable_system_rejected(interval10, narrow_mask10):
 
 def test_uncontrollable_gramian_singular(interval10, narrow_mask10):
     s = build_system(D=np.eye(2), Q=np.zeros((2, 2)), R=[[1.0], [1.0]])
-    lam = observability_constant(s, interval10, narrow_mask10, 4.0, 0.5)
+    lam = assemble_gramian(s, interval10, narrow_mask10, 4.0, 0.5).min_eigenvalue
     assert lam <= 1e-10
 
 

@@ -175,6 +175,30 @@ def test_certificate_controllable_when_root_misses_spectrum(bad_root_system):
     assert v.bad_gammas[0] == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_certificate_finds_planted_crossings(workloads, n):
+    """Rank drops planted at a low eigenvalue agree with a rank scan.
+
+    The degree-n(n-1) minor fits can place these roots too far from the
+    eigenvalue for the rank check or the 1e-8 match; the certificate
+    must still see the drop there.
+    """
+    model = dirichlet_interval_model(40, np.pi)
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        D, Q, R, _ = workloads.certify_system(rng, n, 2, "crossing",
+                                              model.eigenvalues)
+        s = build_system(D, Q, R)
+        v = kalman_certificate(s, model)
+        ranks = np.array([rank_at(s, float(g)) for g in model.eigenvalues])
+        deficient = np.flatnonzero(ranks < n)
+        assert deficient.size > 0
+        assert not v.controllable, f"seed {seed}: drop at {deficient} missed"
+        assert v.p0 == deficient[0]
+        assert any(abs(b - v.gamma_p0) <= v.checked_tolerance * (1.0 + v.gamma_p0)
+                   for b in v.bad_gammas)
+
+
 def test_certificate_degenerate(rank_one_pair, interval10):
     v = kalman_certificate(rank_one_pair, interval10)
     assert not v.controllable
