@@ -13,7 +13,7 @@ from .dynamics import (DissipationReport, ModeState, dissipation_check,
                        propagate, recombine, reconstruct, single_mode_state)
 from .errors import (AdaptationError, CoercivityError, ConfigError,
                      ControllabilityError, InvalidKernelError, NullCtrlError,
-                     ObservabilityError, PropagationStepError, QuadratureError,
+                     ObservabilityError, PropagationStepError,
                      ScheduleError, ValidationError)
 from .hum import (ControlTrajectory, Gramian, assemble_gramian,
                   control_from_datum, control_inner_product, gauss_rule,
@@ -49,7 +49,6 @@ __all__ = [
     "NullCtrlError",
     "ObservabilityError",
     "PropagationStepError",
-    "QuadratureError",
     "ScheduleError",
     "SpectralModel",
     "SubdomainMask",

@@ -8,7 +8,7 @@ the first CSV line so files stay diffable across versions.
 
 Exit codes: 0 success, 1 configuration or validation problem,
 2 controllability failure (the Kalman certificate rejects the system),
-3 numerical failure (quadrature, solve, adaptation or step control, or
+3 numerical failure (solve, adaptation or step control, or
 a cost sweep in which fewer than 2 horizons succeed),
 64 command line usage error.
 """
@@ -26,8 +26,7 @@ import numpy as np
 from .config import ExperimentConfig, load_config
 from .dynamics import ModeState, dissipation_check, full_state, project_low, single_mode_state
 from .errors import (AdaptationError, ControllabilityError, NullCtrlError,
-                     ObservabilityError, PropagationStepError, QuadratureError,
-                     ValidationError)
+                     ObservabilityError, PropagationStepError, ValidationError)
 from .hum import assemble_gramian, simulate_forward, synthesize_control
 from .kalman import kalman_certificate, rank_at
 from .lebeau_robbiano import cost_sweep, run_lr
@@ -406,8 +405,7 @@ def main(argv=None) -> int:
     except ControllabilityError as exc:
         print(f"controllability failure: {exc}", file=sys.stderr)
         return EXIT_UNCONTROLLABLE
-    except (ObservabilityError, QuadratureError, PropagationStepError,
-            AdaptationError) as exc:
+    except (ObservabilityError, PropagationStepError, AdaptationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (NullCtrlError, OSError) as exc:

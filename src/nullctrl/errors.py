@@ -37,10 +37,6 @@ class PropagationStepError(NullCtrlError):
     """A requested exponential step is too large to evaluate reliably."""
 
 
-class QuadratureError(NullCtrlError):
-    """Adaptive quadrature failed to converge within its refinement budget."""
-
-
 class ObservabilityError(NullCtrlError):
     """The Gramian is numerically too weak to invert at the requested data."""
 

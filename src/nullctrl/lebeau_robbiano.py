@@ -155,7 +155,7 @@ class _ContractionFailure(Exception):
 
 
 def _run_once(system, model, masks, y0_full, schedule, gamma_sim, quad_nodes,
-              verdict, adapt):
+              verdict, adapt, run_scale):
     records: list[WindowRecord] = []
     controls: list[ControlTrajectory] = []
     state = y0_full
@@ -168,7 +168,8 @@ def _run_once(system, model, masks, y0_full, schedule, gamma_sim, quad_nodes,
             try:
                 ctl = synthesize_control(system, model, masks, low, w.cutoff,
                                          w.length, t0=w.start,
-                                         quad_nodes=quad_nodes, verdict=verdict)
+                                         quad_nodes=quad_nodes, verdict=verdict,
+                                         run_scale=run_scale)
             except NullCtrlError as exc:
                 raise type(exc)(f"window {w.index}: {exc}") from exc
             states = simulate_forward(system, model, masks, state, ctl,
@@ -245,7 +246,7 @@ def run_lr(system: CoupledSystem, model: SpectralModel,
         try:
             records, controls, final = _run_once(
                 system, model, masks, y0_full, schedule, gamma_sim,
-                quad_nodes, verdict, adapt)
+                quad_nodes, verdict, adapt, y0_norm)
         except _ContractionFailure as fail:
             if doublings >= MAX_ADAPT_DOUBLINGS:
                 raise AdaptationError(

@@ -14,9 +14,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nullctrl import (build_system, dirichlet_interval_model, full_domain_mask,
-                      mask_from_boxes)
+                      mask_from_boxes, mass_matrix)
 
 
 def config_text(name: str) -> str:
@@ -55,6 +56,42 @@ def dense_time_quadrature(f, a: float, b: float, npts: int = 400) -> np.ndarray:
     return np.sum(vals, axis=0)
 
 
+def controlled_window_oracle(system, model, masks, a0, control, gamma_sim):
+    """Terminal coefficients of one controlled window from one scipy expm.
+
+    The state ``a`` on the simulated modes and the adjoint flow ``phi``
+    on the controlled ones evolve together: ``phi_k' = A_k^T phi_k``
+    from ``phi_k(0) = e^{-tau A_k^T} z_k``, and
+    ``a_j' = -A_j a_j + sum_i sum_k cross_i[j, k] R_i R_i^T phi_k``.
+    The joint generator is block upper triangular, and one ``expm`` of
+    ``tau`` times it carries ``(a0, phi(0))`` to the window's end.
+    """
+    n, tau = system.n, control.tau
+    sim_idx = np.flatnonzero(model.eigenvalues <= gamma_sim)
+    sim, ctrl = model.eigenvalues[sim_idx], control.eigenvalues
+    Ks, Kc = len(sim), len(ctrl)
+
+    def blk(p):
+        return slice(p * n, (p + 1) * n)
+
+    big = np.zeros(((Ks + Kc) * n, (Ks + Kc) * n))
+    for j, g in enumerate(sim):
+        big[blk(j), blk(j)] = -(g * system.D + system.Q)
+    for k, g in enumerate(ctrl):
+        big[blk(Ks + k), blk(Ks + k)] = (g * system.D + system.Q).T
+    pos = np.searchsorted(sim_idx, control.mode_indices)
+    for i, mask in enumerate(masks):
+        cross = mass_matrix(model, mask, sim_idx)[:, pos]
+        rr = np.outer(system.R[:, i], system.R[:, i])
+        for j in range(Ks):
+            for k in range(Kc):
+                big[blk(j), blk(Ks + k)] += cross[j, k] * rr
+    phi0 = [scipy.linalg.expm(-tau * (g * system.D + system.Q).T) @ z
+            for g, z in zip(ctrl, control.datum)]
+    x0 = np.concatenate([np.asarray(a0, dtype=float).ravel(), *phi0])
+    return (scipy.linalg.expm(tau * big) @ x0)[:Ks * n].reshape(Ks, n)
+
+
 @pytest.fixture(scope="session")
 def case3_system():
     # cascade pair: channel 1 reaches the second equation only through q21
@@ -91,12 +128,22 @@ def full_mask10(interval10):
     return [full_domain_mask(interval10, 0)]
 
 
-@pytest.fixture(scope="session")
-def workloads():
-    """The benchmark's seeded inputs and ops, from ``perfbench/workloads.py``."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+def _load_perfbench(name: str):
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module    # its dataclasses look their module up
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def workloads():
+    """The benchmark's seeded inputs and ops, from ``perfbench/workloads.py``."""
+    return _load_perfbench("workloads")
+
+
+@pytest.fixture(scope="session")
+def spans():
+    """The benchmark's layer tracer, from ``perfbench/spans.py``."""
+    return _load_perfbench("spans")

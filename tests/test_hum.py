@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, solve_sylvester
 
 from nullctrl import (ControllabilityError, ModeState, ObservabilityError,
-                      PropagationStepError, QuadratureError, ValidationError,
+                      PropagationStepError, ValidationError,
                       assemble_gramian, build_system, control_from_datum,
                       control_inner_product, dirichlet_interval_model,
                       full_domain_mask, full_state, load_config,
                       mask_from_boxes, mass_matrix, mode_propagators,
                       project_high, project_low, propagate, simulate_forward,
                       synthesize_control)
-from conftest import config_file, dense_time_quadrature
+from nullctrl.hum import _window_integrals
+from conftest import (config_file, controlled_window_oracle,
+                      dense_time_quadrature)
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +62,24 @@ def test_full_domain_gramian_block_diagonal(case3_system, interval10):
             assert np.abs(G[k, :, l, :] - oracle).max() <= 1e-10
 
 
+def test_gramian_matches_dense_quadrature(interval10, narrow_mask10):
+    # distinct diffusivities make the blocks X[k, l] non-symmetric, so
+    # the Gramian's mirrored lower half is checked as well
+    s = build_system(np.diag([1.0, 2.0]), [[0.0, 0.0], [1.0, 0.0]],
+                     [[1.0], [0.0]])
+    tau = 0.3
+    g = assemble_gramian(s, interval10, narrow_mask10, 30.0, tau)
+    K = len(g.eigenvalues)
+    mats = [gam * s.D + s.Q for gam in g.eigenvalues]
+
+    def integrand(t):
+        obs = np.stack([expm(-A * t) @ s.R[:, 0] for A in mats])   # (K, n)
+        return np.einsum("kl,ka,lb->kalb", g.masses[0], obs, obs)
+
+    oracle = dense_time_quadrature(integrand, 0.0, tau).reshape(2 * K, 2 * K)
+    assert np.abs(g.matrix - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
 def test_gramian_symmetric_psd(case3_system, interval10, narrow_mask10):
     g = assemble_gramian(case3_system, interval10, narrow_mask10, 100.0, 0.5)
     assert np.abs(g.matrix - g.matrix.T).max() <= 1e-12
@@ -89,13 +109,25 @@ def test_gramian_validation(scalar_system, interval10, full_mask10):
                          quad_nodes=1)
 
 
-def test_quadrature_refinement_exhaustion(scalar_system, interval20):
-    # a horizon of 5 with eigenvalues up to 400 produces boundary layers
-    # no 32-node rule resolves, so four doublings from 2 cannot converge
-    with pytest.raises(QuadratureError):
-        assemble_gramian(scalar_system, interval20,
-                         [full_domain_mask(interval20, 0)], 400.0, 5.0,
-                         quad_nodes=2)
+@pytest.mark.parametrize("name", ["case1.json", "case2.json", "case2_fail.json",
+                                  "case3.json", "torus_stokes.json"])
+def test_window_integrals_match_sylvester(name):
+    # X solves A_j X + X A_k^T = M - e^{-tau A_j} M e^{-tau A_k^T},
+    # M = R_i R_i^T; every pair, the top mode included
+    cfg = load_config(config_file(name))
+    s, gammas = cfg.system, cfg.model.eigenvalues
+    for tau in (0.25, 1 / 32, 1 / 256, 1 / 1024):
+        X = _window_integrals(s, gammas[:, None], gammas[None], tau)
+        assert X.shape == (len(gammas), len(gammas), s.m, s.n, s.n)
+        flows = [expm(-tau * (g * s.D + s.Q)) for g in gammas]
+        for j, gj in enumerate(gammas):
+            for k, gk in enumerate(gammas):
+                for i in range(s.m):
+                    M = np.outer(s.R[:, i], s.R[:, i])
+                    ref = solve_sylvester(gj * s.D + s.Q, (gk * s.D + s.Q).T,
+                                          M - flows[j] @ M @ flows[k].T)
+                    assert (np.abs(X[j, k, i] - ref).max()
+                            <= 1e-13 * np.abs(ref).max()), (tau, j, k, i)
 
 
 def test_scalar_control_closed_form(scalar_system, one_mode, one_mode_full):
@@ -291,32 +323,9 @@ def test_simulate_forward_validation(case3_system, interval10, narrow_mask10):
                          c, 25.0)
 
 
-def _sequential_simulation(system, model, masks, y0, control, gamma_sim):
-    """Reference: one sub-interval at a time with scipy's expm."""
-    sim_idx = np.flatnonzero(model.eigenvalues <= gamma_sim)
-    mats = model.eigenvalues[sim_idx, None, None] * system.D + system.Q
-    a = np.zeros((len(sim_idx), system.n))
-    a[y0.mode_indices] = y0.coefficients
-    ctrl_pos = np.searchsorted(sim_idx, control.mode_indices)
-    cross = np.stack([mass_matrix(model, mask, sim_idx)[:, ctrl_pos]
-                      for mask in masks])
-    bounds = np.concatenate([[control.t0], control.nodes, [control.t1]])
-    x, w = np.polynomial.legendre.leggauss(4)
-    out = [a]
-    for u, v in zip(bounds[:-1], bounds[1:]):
-        s_times = 0.5 * (u + v) + 0.5 * (v - u) * x
-        force = np.einsum("qi,ilk,tik->tlq", system.R, cross,
-                          control.beta_at(s_times))
-        a = expm(-(v - u) * mats) @ a[:, :, None]
-        a = a[:, :, 0]
-        for t, wt, f in zip(s_times, 0.5 * (v - u) * w, force):
-            a = a + wt * (expm(-(v - t) * mats) @ f[:, :, None])[:, :, 0]
-        out.append(a)
-    return bounds, out
-
-
 @pytest.mark.parametrize("name", ["case1.json", "case3.json"])
-def test_simulate_forward_matches_sequential_reference(name):
+def test_simulate_forward_matches_joint_expm(name):
+    # case1's generators are Jordan-type (D = 2I, nilpotent Q)
     cfg = load_config(config_file(name))
     model, masks = cfg.model, list(cfg.masks)
     gamma, tau = 30.0, 0.25
@@ -329,17 +338,17 @@ def test_simulate_forward_matches_sequential_reference(name):
                     time=0.5)
     states = simulate_forward(cfg.system, model, masks, y0, control,
                               model.gamma_max)
-    bounds, ref = _sequential_simulation(cfg.system, model, masks, y0, control,
-                                         model.gamma_max)
-    assert len(states) == len(ref) == 18
-    scale = max(np.linalg.norm(r) for r in ref)
-    for st, t, r in zip(states, bounds, ref):
-        assert st.time == t
-        assert np.linalg.norm(st.coefficients - r) <= 1e-12 * scale
+    ref = controlled_window_oracle(cfg.system, model, masks, y0.coefficients,
+                                   control, model.gamma_max)
+    assert [st.time for st in states] == [0.5, 0.75]
+    assert np.array_equal(states[0].coefficients, y0.coefficients)
+    scale = max(np.linalg.norm(y0.coefficients), np.linalg.norm(ref))
+    assert np.linalg.norm(states[-1].coefficients - ref) <= 1e-12 * scale
 
 
 def test_simulate_forward_step_bound(interval10):
-    # a stiff diffusion makes one sub-interval step exceed STEP_BOUND
+    # a stiff diffusion makes the window's step exceed STEP_BOUND at the
+    # top mode, both for the flow and for the Gramian's integrals
     stiff = build_system([[1e3]], [[0.0]], [[1.0]])
     masks = [full_domain_mask(interval10, 0)]
     c = control_from_datum(stiff, interval10, masks, [[1.0]], 1.0, 1.0,
@@ -347,6 +356,8 @@ def test_simulate_forward_step_bound(interval10):
     y0 = full_state(interval10, np.zeros((10, 1)))
     with pytest.raises(PropagationStepError):
         simulate_forward(stiff, interval10, masks, y0, c, 100.0)
+    with pytest.raises(PropagationStepError):
+        assemble_gramian(stiff, interval10, masks, 100.0, 1.0)
 
 
 def _adjoint_initial_value(system, gammas, tau, datum):
