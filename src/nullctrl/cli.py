@@ -28,7 +28,7 @@ from .dynamics import ModeState, dissipation_check, full_state, project_low, sin
 from .errors import (AdaptationError, ControllabilityError, NullCtrlError,
                      ObservabilityError, PropagationStepError, ValidationError)
 from .hum import assemble_gramian, simulate_forward, synthesize_control
-from .kalman import kalman_certificate, rank_at
+from .kalman import _ranks, kalman_certificate
 from .lebeau_robbiano import cost_sweep, run_lr
 
 EXIT_OK = 0
@@ -152,7 +152,7 @@ def _cmd_kalman_check(cfg: ExperimentConfig, args) -> int:
         if verdict.degenerate:
             print("degenerate: rank drops at every gamma")
     if args.emit_bad_set:
-        rows = [(g, rank_at(cfg.system, g)) for g in verdict.bad_gammas]
+        rows = zip(verdict.bad_gammas, _ranks(cfg.system, verdict.bad_gammas))
         _write_csv(Path(args.emit_bad_set), "kalman-bad-set",
                    ["gamma", "rank"], rows)
     return EXIT_OK

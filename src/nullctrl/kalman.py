@@ -34,18 +34,41 @@ MATCH_RTOL = 1e-8
 SNAP_RTOL = 1e-3
 
 
-def build_Kp(system: CoupledSystem, gamma: float) -> FloatArray:
-    """Kalman matrix of the mode with eigenvalue ``gamma``, shape (n, n*m)."""
-    A = system.mode_matrix(gamma)
-    blocks = [np.array(system.R)]
+def _kalman_stack(system: CoupledSystem, gammas: npt.ArrayLike) -> FloatArray:
+    """Kalman matrices K(gamma) of every eigenvalue in ``gammas``,
+    shape (len(gammas), n, n*m)."""
+    gammas = np.asarray(gammas, dtype=float)
+    positive = gammas > 0.0
+    if not positive.all():
+        raise ValidationError(
+            f"mode eigenvalue must be positive, got {gammas[~positive][0]}")
+    A = gammas[:, None, None] * system.D + system.Q
+    blocks = [np.broadcast_to(system.R, (len(gammas),) + system.R.shape)]
     for _ in range(system.n - 1):
         blocks.append(A @ blocks[-1])
-    return np.concatenate(blocks, axis=1)
+    return np.concatenate(blocks, axis=-1)
+
+
+def build_Kp(system: CoupledSystem, gamma: float) -> FloatArray:
+    """Kalman matrix of the mode with eigenvalue ``gamma``, shape (n, n*m)."""
+    return _kalman_stack(system, [gamma])[0]
 
 
 def _column_normalized(K: FloatArray) -> FloatArray:
-    norms = np.linalg.norm(K, axis=0)
+    norms = np.linalg.norm(K, axis=-2, keepdims=True)
     return K / np.where(norms == 0.0, 1.0, norms)
+
+
+def _ranks(system: CoupledSystem, gammas: npt.ArrayLike) -> npt.NDArray[np.intp]:
+    """Numerical rank of K(gamma) at every eigenvalue in ``gammas``, by the
+    rule of :func:`rank_at`, from one SVD call on the stack.
+
+    An all-zero K has no singular value above ``RANK_RTOL * 0`` and so
+    rank 0.
+    """
+    s = np.linalg.svd(_column_normalized(_kalman_stack(system, gammas)),
+                      compute_uv=False)
+    return (s > RANK_RTOL * s[:, :1]).sum(axis=-1)
 
 
 def rank_at(system: CoupledSystem, gamma: float) -> int:
@@ -58,11 +81,7 @@ def rank_at(system: CoupledSystem, gamma: float) -> int:
     a fixed relative threshold would misreport the rank at large
     eigenvalues.  Scaling columns leaves the rank itself unchanged.
     """
-    s = np.linalg.svd(_column_normalized(build_Kp(system, gamma)),
-                      compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > RANK_RTOL * s[0]))
+    return int(_ranks(system, [gamma])[0])
 
 
 def kernel_vector(system: CoupledSystem, gamma: float) -> FloatArray:
@@ -97,7 +116,7 @@ def minor_polynomials(system: CoupledSystem, gamma_lo: float) -> tuple[FloatArra
     u = C.chebpts1(deg + 1)
     samples = lo + 0.5 * (u + 1.0) * (hi - lo)
     cols = np.array(list(combinations(range(n * system.m), n)))
-    K = np.stack([build_Kp(system, g) for g in samples])    # (deg+1, n, nm)
+    K = _kalman_stack(system, samples)                      # (deg+1, n, nm)
     vals = np.linalg.det(K[:, :, cols].transpose(0, 2, 1, 3))
     coeffs = C.chebfit(u, vals, deg).T
     return samples, coeffs
@@ -109,10 +128,11 @@ class KalmanVerdict:
 
     ``controllable`` is True when every model eigenvalue has a full-rank
     Kalman matrix.  ``bad_gammas`` lists the confirmed positive real
-    values at which the rank drops (present in both outcomes; empty when
-    the rank never drops).  On failure, ``p0`` is the index of the first
-    offending eigenvalue, ``gamma_p0`` its value and ``z0`` a unit left
-    null vector of the corresponding Kalman matrix.
+    values at which the rank drops, then any model eigenvalue whose rank
+    drops that none of them matches (present in both outcomes; empty
+    when the rank never drops).  On failure, ``p0`` is the index of the
+    first offending eigenvalue, ``gamma_p0`` its value and ``z0`` a unit
+    left null vector of the corresponding Kalman matrix.
     """
 
     controllable: bool
@@ -148,68 +168,98 @@ def bad_set(system: CoupledSystem, gamma_lo: float) -> tuple[list[float], bool]:
     conditioned.)  The flag is True when the rank is below n at every
     sample point, i.e. the minors vanish identically.
     """
-    return _rank_drops(system, gamma_lo, np.empty(0))
+    bad, degenerate, _ = _rank_drops(system, gamma_lo, np.empty(0))
+    return bad, degenerate
 
 
-def _rank_drops(system: CoupledSystem, gamma_lo: float,
-                eigenvalues: FloatArray) -> tuple[list[float], bool]:
+def _real_roots(coeffs: FloatArray) -> FloatArray:
+    """Real roots of every row of Chebyshev coefficients, as
+    ``chebroots(chebtrim(c, 1e-12 * max|c|))`` finds them row by row.
+
+    Rows are grouped by trimmed length.  Each group's scaled companion
+    matrices are built with ``chebcompanion``'s operations, rotated as
+    ``chebroots`` rotates them, and share one ``eigvals`` call, so every
+    root is the same float as the row-by-row one.  All-zero rows and
+    rows trimmed to a constant have no roots.
+    """
+    mags = np.abs(coeffs)
+    kept = mags > 1e-12 * mags.max(axis=1, keepdims=True)
+    length = (kept * np.arange(1, kept.shape[1] + 1)).max(axis=1)
+    roots = [np.empty(0)]
+    for L in sorted(set(length.tolist()) - {0, 1}):
+        c = coeffs[length == L, :L]
+        if L == 2:
+            roots.append(-c[:, 0] / c[:, 1])
+            continue
+        n = L - 1
+        mat = np.zeros((len(c), n, n))
+        i = np.arange(n - 1)
+        mat[:, i, i + 1] = mat[:, i + 1, i] = [np.sqrt(0.5)] + [0.5] * (n - 2)
+        scl = np.array([1.0] + [np.sqrt(0.5)] * (n - 1))
+        mat[:, :, -1] -= (c[:, :-1] / c[:, -1:]) * (scl / scl[-1]) * 0.5
+        roots.append(np.linalg.eigvals(mat[:, ::-1, ::-1]).ravel())
+    r = np.concatenate(roots)
+    return r[np.abs(r.imag) <= 1e-6 * (1.0 + np.abs(r.real))].real
+
+
+def _rank_drops(system: CoupledSystem, gamma_lo: float, eigenvalues: FloatArray
+                ) -> tuple[list[float], bool, npt.NDArray[np.bool_] | None]:
     """:func:`bad_set`, with each candidate near one of ``eigenvalues``
-    checked there.
+    checked there, plus the mask of the eigenvalues where the rank drops.
 
     Fitted roots of high-degree minors can miss a true root by far more
     than ``MATCH_RTOL`` or the rank threshold allow, but not by the
     spacing of the spectrum.  A candidate within relative distance
     ``SNAP_RTOL`` of an eigenvalue, and not already a confirmed match
     for it, is therefore checked at the eigenvalue and, if the rank
-    drops there, reported once as the eigenvalue.
+    drops there, reported once as the eigenvalue.  The samples and the
+    eigenvalues are ranked in one batched call, the clustered candidates
+    in another.  A degenerate system returns before any root is
+    computed, with no mask.
     """
+    n = system.n
     samples, coeffs = minor_polynomials(system, gamma_lo)
-    if all(rank_at(system, g) < system.n for g in samples):
-        return [], True
-    deg = system.n * (system.n - 1)
+    full = _ranks(system, np.concatenate([samples, eigenvalues])) == n
+    if not full[:len(samples)].any():
+        return [], True, None
+    eigen_drops = ~full[len(samples):]
+    deg = n * (n - 1)
     lo, hi = gamma_lo, gamma_lo + deg + 1.0
-    candidates: list[float] = []
-    for c in coeffs:
-        scale = np.abs(c).max()
-        if scale == 0.0:
-            continue
-        c = C.chebtrim(c, tol=1e-12 * scale)
-        if len(c) < 2:
-            continue
-        roots_u = C.chebroots(c)
-        real = roots_u[np.abs(roots_u.imag)
-                       <= 1e-6 * (1.0 + np.abs(roots_u.real))].real
-        candidates.extend(lo + 0.5 * (real + 1.0) * (hi - lo))
-    gammas = np.asarray(candidates)
+    gammas = lo + 0.5 * (_real_roots(coeffs) + 1.0) * (hi - lo)
+    candidates = _cluster(gammas[gammas > 0.0])
+    if not candidates:      # the common case; spares an SVD call on nothing
+        return [], False, eigen_drops
     confirmed: list[float] = []
-    for g in _cluster(gammas[gammas > 0.0]):
-        drops = rank_at(system, g) < system.n
+    for g, drops in zip(candidates, _ranks(system, candidates) < n):
         if len(eigenvalues):
-            e = float(eigenvalues[np.argmin(np.abs(eigenvalues - g))])
+            p = np.argmin(np.abs(eigenvalues - g))
+            e = float(eigenvalues[p])
             gap = abs(g - e)
             matched = drops and gap <= MATCH_RTOL * (1.0 + e)
             if gap <= SNAP_RTOL * (1.0 + e) and not matched:
                 if e in confirmed:
                     continue
-                if rank_at(system, e) < system.n:
+                if eigen_drops[p]:
                     confirmed.append(e)
                     continue
         if drops:
             confirmed.append(g)
-    return confirmed, False
+    return confirmed, False, eigen_drops
 
 
 def kalman_certificate(system: CoupledSystem, model: SpectralModel) -> KalmanVerdict:
     """Decide controllability of the system over the model's spectrum.
 
     The certificate is finite: it fits the minors once, extracts the
-    real roots where the rank can drop, confirms each one (at the model
-    eigenvalue it lies within relative distance 1e-3 of, if any) and
-    compares the confirmed values against the model eigenvalues with
-    relative tolerance 1e-8.
+    real roots where the rank can drop and confirms each one (at the
+    model eigenvalue it lies within relative distance 1e-3 of, if any).
+    It also ranks every model eigenvalue, so the verdict agrees with
+    the per-eigenvalue rank test by construction: the first eigenvalue
+    whose rank drops is ``p0``, and one that no confirmed value matches
+    within relative tolerance 1e-8 is added to ``bad_gammas``.
     """
     gamma_lo = float(model.eigenvalues[0])
-    bad, degenerate = _rank_drops(system, gamma_lo, model.eigenvalues)
+    bad, degenerate, drops = _rank_drops(system, gamma_lo, model.eigenvalues)
     if degenerate:
         g0 = gamma_lo
         return KalmanVerdict(
@@ -221,22 +271,24 @@ def kalman_certificate(system: CoupledSystem, model: SpectralModel) -> KalmanVer
             gamma_p0=g0,
             z0=kernel_vector(system, g0),
         )
-    for p, gamma in enumerate(model.eigenvalues):
-        for b in bad:
-            if abs(gamma - b) <= MATCH_RTOL * (1.0 + gamma):
-                if rank_at(system, float(gamma)) < system.n:
-                    return KalmanVerdict(
-                        controllable=False,
-                        bad_gammas=tuple(bad),
-                        checked_tolerance=MATCH_RTOL,
-                        p0=int(p),
-                        gamma_p0=float(gamma),
-                        z0=kernel_vector(system, float(gamma)),
-                    )
+    for gamma in model.eigenvalues[drops]:
+        if not any(abs(gamma - b) <= MATCH_RTOL * (1.0 + gamma) for b in bad):
+            bad.append(float(gamma))
+    if not drops.any():
+        return KalmanVerdict(
+            controllable=True,
+            bad_gammas=tuple(bad),
+            checked_tolerance=MATCH_RTOL,
+        )
+    p0 = int(np.argmax(drops))
+    gamma = float(model.eigenvalues[p0])
     return KalmanVerdict(
-        controllable=True,
+        controllable=False,
         bad_gammas=tuple(bad),
         checked_tolerance=MATCH_RTOL,
+        p0=p0,
+        gamma_p0=gamma,
+        z0=kernel_vector(system, gamma),
     )
 
 

@@ -5,8 +5,9 @@ from numpy.polynomial import chebyshev as C
 from nullctrl import (InvalidKernelError, ValidationError, build_system,
                       dirichlet_interval_model, invisible_adjoint_solution,
                       kalman_certificate)
-from nullctrl.kalman import (bad_set, build_Kp, kernel_vector,
-                             minor_polynomials, rank_at)
+from nullctrl.kalman import (_kalman_stack, _ranks, _real_roots, bad_set,
+                             build_Kp, kernel_vector, minor_polynomials,
+                             rank_at)
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +44,85 @@ def test_build_Kp_cascade(case3_system):
 def test_build_Kp_single_equation(scalar_system):
     K = build_Kp(scalar_system, 7.0)
     np.testing.assert_allclose(K, [[1.0]])
+
+
+def _loop_Kp(system, gamma):
+    """K(gamma) built block by block, the unbatched reference."""
+    A = system.mode_matrix(gamma)
+    blocks = [np.array(system.R)]
+    for _ in range(system.n - 1):
+        blocks.append(A @ blocks[-1])
+    return np.concatenate(blocks, axis=1)
+
+
+def _loop_rank(system, gamma):
+    """rank_at's rule on one column-normalized K(gamma), one SVD."""
+    K = _loop_Kp(system, gamma)
+    norms = np.linalg.norm(K, axis=0)
+    s = np.linalg.svd(K / np.where(norms == 0.0, 1.0, norms), compute_uv=False)
+    return 0 if s[0] == 0.0 else int(np.sum(s > 1e-10 * s[0]))
+
+
+def _stack_systems(workloads, model):
+    """Random, crossing and structural systems for n = 2..5."""
+    rng = np.random.default_rng(3)
+    return [build_system(*workloads.certify_system(rng, n, m, kind,
+                                                   model.eigenvalues)[:3])
+            for n in range(2, 6) for m in (1, 2)
+            for kind in ("random", "crossing", "structural")]
+
+
+def test_kalman_stack_and_ranks_match_one_matrix_at_a_time(workloads):
+    model = dirichlet_interval_model(40, np.pi)
+    gammas = model.eigenvalues
+    zero_input = build_system(np.eye(3), np.ones((3, 3)), np.zeros((3, 2)))
+    for s in _stack_systems(workloads, model) + [zero_input]:
+        K = _kalman_stack(s, gammas)
+        assert np.array_equal(K, np.stack([build_Kp(s, g) for g in gammas]))
+        assert np.array_equal(K, np.stack([_loop_Kp(s, g) for g in gammas]))
+        ranks = _ranks(s, gammas)
+        assert ranks.tolist() == [rank_at(s, g) for g in gammas]
+        assert ranks.tolist() == [_loop_rank(s, g) for g in gammas]
+        assert _kalman_stack(s, []).shape == (0, s.n, s.n * s.m)
+        assert _ranks(s, []).shape == (0,)
+    assert not _ranks(zero_input, gammas).any()
+    with pytest.raises(ValidationError):
+        _kalman_stack(zero_input, [1.0, 0.0])
+
+
+def _row_real_roots(c):
+    """chebtrim + chebroots + the real filter on one row, the reference."""
+    scale = np.abs(c).max()
+    if scale == 0.0:
+        return np.empty(0)
+    c = C.chebtrim(c, tol=1e-12 * scale)
+    if len(c) < 2:
+        return np.empty(0)
+    r = C.chebroots(c)
+    return r[np.abs(r.imag) <= 1e-6 * (1.0 + np.abs(r.real))].real
+
+
+def test_real_roots_grouped_by_degree_match_row_by_row(workloads):
+    def padded(c, width=7):
+        return np.pad(np.real(c), (0, width - len(c)))
+
+    rows = np.array([
+        np.zeros(7),                                          # no roots
+        [3.0, 1e-13, -1e-14, 0.0, 0.0, 0.0, 0.0],             # trims to a constant
+        padded([0.25, 2.0]),                                  # length 2
+        [0.5, -1.0, 0.0, 0.0, 0.0, 0.0, 1e-13],               # length 2 after trim
+        padded(C.chebfromroots([-0.3, 0.1, 0.5])),            # cubic, real roots
+        padded(C.chebfromroots([0.2, 0.3 + 0.4j, 0.3 - 0.4j])),  # cubic, complex pair
+        padded(C.chebfromroots([0.9, 2.0, -1.5, 0.4 + 1j, 0.4 - 1j])),
+        np.random.default_rng(0).standard_normal(7),
+    ])
+    model = dirichlet_interval_model(40, np.pi)
+    blocks = [rows] + [minor_polynomials(s, 1.0)[1]
+                       for s in _stack_systems(workloads, model)]
+    for coeffs in blocks:
+        expected = np.concatenate([np.empty(0)]
+                                  + [_row_real_roots(c) for c in coeffs])
+        assert np.array_equal(np.sort(_real_roots(coeffs)), np.sort(expected))
 
 
 def test_rank_at(diag_pair, rank_one_pair, bad_root_system):
@@ -175,18 +255,20 @@ def test_certificate_controllable_when_root_misses_spectrum(bad_root_system):
     assert v.bad_gammas[0] == pytest.approx(1.0, abs=1e-8)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_certificate_finds_planted_crossings(workloads, n):
+@pytest.mark.parametrize("n, m", [(3, 2), (4, 2), (5, 2), (5, 1)],
+                         ids=["3", "4", "5", "5-1"])
+def test_certificate_finds_planted_crossings(workloads, n, m):
     """Rank drops planted at a low eigenvalue agree with a rank scan.
 
     The degree-n(n-1) minor fits can place these roots too far from the
-    eigenvalue for the rank check or the 1e-8 match; the certificate
+    eigenvalue for the rank check or the 1e-8 match, or, for the single
+    degree-20 minor at (5, 1), beyond any snap window; the certificate
     must still see the drop there.
     """
     model = dirichlet_interval_model(40, np.pi)
     for seed in range(40):
         rng = np.random.default_rng(seed)
-        D, Q, R, _ = workloads.certify_system(rng, n, 2, "crossing",
+        D, Q, R, _ = workloads.certify_system(rng, n, m, "crossing",
                                               model.eigenvalues)
         s = build_system(D, Q, R)
         v = kalman_certificate(s, model)
@@ -197,6 +279,25 @@ def test_certificate_finds_planted_crossings(workloads, n):
         assert v.p0 == deficient[0]
         assert any(abs(b - v.gamma_p0) <= v.checked_tolerance * (1.0 + v.gamma_p0)
                    for b in v.bad_gammas)
+
+
+def test_certificate_makes_few_batched_linalg_calls(workloads, monkeypatch):
+    """Ranks and roots are taken on stacks: a few SVD calls (the samples
+    with the spectrum, the candidate roots, a failing verdict's kernel
+    vector) and one eigvals call per trimmed minor degree."""
+    model = dirichlet_interval_model(workloads.CERTIFY_MODES)
+    rng = np.random.default_rng(0)
+    s = build_system(*workloads.certify_system(rng, 4, 3, "random",
+                                               model.eigenvalues)[:3])
+    counts = {"svd": 0, "eigvals": 0}
+    for name in counts:
+        def counted(*args, _name=name, _real=getattr(np.linalg, name), **kw):
+            counts[_name] += 1
+            return _real(*args, **kw)
+        monkeypatch.setattr(np.linalg, name, counted)
+    kalman_certificate(s, model)
+    assert counts["svd"] <= 4
+    assert counts["eigvals"] <= s.n * (s.n - 1)
 
 
 def test_certificate_degenerate(rank_one_pair, interval10):
