@@ -10,7 +10,7 @@ the dyadic active/passive controller whose cost law it measures.
 from .config import ExperimentConfig, load_config, parse_config
 from .dynamics import (DissipationReport, ModeState, dissipation_check,
                        full_state, mode_propagators, project_high, project_low,
-                       propagate, recombine, reconstruct, single_mode_state)
+                       propagate, reconstruct, single_mode_state)
 from .errors import (AdaptationError, CoercivityError, ConfigError,
                      ControllabilityError, InvalidKernelError, NullCtrlError,
                      ObservabilityError, PropagationStepError,
@@ -83,7 +83,6 @@ __all__ = [
     "project_low",
     "propagate",
     "rank_at",
-    "recombine",
     "reconstruct",
     "run_lr",
     "simulate_forward",

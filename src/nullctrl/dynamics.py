@@ -20,7 +20,7 @@ import numpy.typing as npt
 
 from .errors import PropagationStepError, ValidationError
 from .spectral import SpectralModel
-from .system import CoupledSystem, FloatArray, _frozen
+from .system import CoupledSystem, FloatArray, _einsum, _frozen
 
 STEP_BOUND = 1e4
 
@@ -157,6 +157,23 @@ def embed(state: ModeState, mode_set: npt.NDArray[np.int64], what: str) -> Float
     return coef
 
 
+def _generator_norms(mats: FloatArray) -> FloatArray:
+    """2-norm of every mode generator in a stack, the step checks' bound."""
+    return np.linalg.norm(mats, ord=2, axis=(-2, -1))
+
+
+def _check_flow_step(step: float) -> None:
+    if step > STEP_BOUND:
+        raise PropagationStepError(
+            f"dt*|gamma D + Q| = {step:.3g} exceeds {STEP_BOUND:.0g}; subdivide the step"
+        )
+
+
+def _flows(mats: FloatArray, dt: FloatArray) -> FloatArray:
+    """``expm(-dt * mat)`` for every step in ``dt`` and generator in ``mats``."""
+    return expm_stack(-dt[..., None, None, None] * mats)
+
+
 def mode_propagators(system: CoupledSystem, eigenvalues: FloatArray,
                      dt: npt.ArrayLike, adjoint: bool = False) -> FloatArray:
     """Batched ``expm(-dt*(gamma_k D + Q))``, shape ``dt.shape + (K, n, n)``.
@@ -174,24 +191,25 @@ def mode_propagators(system: CoupledSystem, eigenvalues: FloatArray,
     dt = np.asarray(dt, dtype=float)
     if np.any(dt < 0.0):
         raise ValidationError(f"dt must be nonnegative, got {dt.min()}")
-    eig = np.asarray(eigenvalues, dtype=float)
-    base = (system.D.T if adjoint else system.D)
-    coup = (system.Q.T if adjoint else system.Q)
-    mats = eig[:, None, None] * base[None] + coup[None]
-    if eig.size == 0 or dt.size == 0:
+    mats = system.mode_matrices(eigenvalues, adjoint)
+    if mats.size == 0 or dt.size == 0:
         return np.empty(dt.shape + mats.shape)
-    step = float(dt.max()) * float(np.linalg.norm(mats, ord=2, axis=(1, 2)).max())
-    if step > STEP_BOUND:
-        raise PropagationStepError(
-            f"dt*|gamma D + Q| = {step:.3g} exceeds {STEP_BOUND:.0g}; subdivide the step"
-        )
-    return expm_stack(-dt[..., None, None, None] * mats)
+    _check_flow_step(float(dt.max()) * float(_generator_norms(mats).max()))
+    return _flows(mats, dt)
 
 
 def propagate(system: CoupledSystem, state: ModeState, dt: float,
-              adjoint: bool = False) -> ModeState:
-    """Advance every retained mode exactly by ``dt`` (homogeneous flow)."""
-    props = mode_propagators(system, state.eigenvalues, dt, adjoint=adjoint)
+              adjoint: bool = False, *, cache=None) -> ModeState:
+    """Advance every retained mode exactly by ``dt`` (homogeneous flow).
+
+    ``cache`` is the window cache of a ``run_lr`` call; the forward
+    propagators of the state's modes are then read from it.
+    """
+    if cache is None or adjoint:
+        props = mode_propagators(system, state.eigenvalues, dt, adjoint=adjoint)
+    else:
+        cache.check(system)
+        props = cache.propagators(dt, state.mode_indices)
     coef = np.einsum("kab,kb->ka", props, state.coefficients)
     return replace(state, coefficients=_frozen(coef), time=state.time + dt)
 
@@ -218,29 +236,11 @@ def project_high(state: ModeState, gamma: float) -> ModeState:
     return _project(state, gamma, low=False)
 
 
-def recombine(low: ModeState, high: ModeState) -> ModeState:
-    """Merge two states with disjoint mode sets taken at the same time."""
-    if abs(low.time - high.time) > 1e-12 * (1.0 + abs(low.time)):
-        raise ValidationError("states must share the same timestamp")
-    idx = np.concatenate([low.mode_indices, high.mode_indices])
-    order = np.argsort(idx)
-    merged = idx[order]
-    if merged.size and np.any(np.diff(merged) == 0):
-        raise ValidationError("mode sets overlap")
-    return ModeState(
-        mode_indices=_frozen(merged, np.int64),
-        eigenvalues=_frozen(np.concatenate([low.eigenvalues, high.eigenvalues])[order]),
-        coefficients=_frozen(
-            np.concatenate([low.coefficients, high.coefficients])[order]),
-        time=low.time,
-    )
-
-
 def reconstruct(model: SpectralModel, state: ModeState,
                 nodes: FloatArray | None = None) -> FloatArray:
     """Evaluate the represented field, shape (npts, n, n_comp)."""
     funcs = model.eigenfunctions(nodes)[state.mode_indices]
-    return np.einsum("ki,kpc->pic", state.coefficients, funcs, optimize=True)
+    return _einsum("ki,kpc->pic", state.coefficients, funcs)
 
 
 @dataclass(frozen=True)
@@ -278,7 +278,7 @@ def dissipation_check(system: CoupledSystem, model: SpectralModel, gamma: float,
     coeffs = rng.standard_normal((trials, eig.size, system.n))
     coeffs /= np.linalg.norm(coeffs, axis=(1, 2))[:, None, None]
     props = mode_propagators(system, eig, t)
-    evolved = np.einsum("kab,tkb->tka", props, coeffs, optimize=True)
+    evolved = _einsum("kab,tkb->tka", props, coeffs)
     ratios = np.linalg.norm(evolved, axis=(1, 2))
     bound = system.decay_bound(gamma, t)
     max_ratio = float(ratios.max())

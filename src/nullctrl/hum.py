@@ -27,13 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from .dynamics import (STEP_BOUND, ModeState, embed, expm_stack, mode_positions,
+from .dynamics import (STEP_BOUND, ModeState, _check_flow_step, _flows,
+                       _generator_norms, embed, expm_stack, mode_positions,
                        mode_propagators)
 from .errors import (ControllabilityError, ObservabilityError,
                      PropagationStepError, ValidationError)
 from .kalman import KalmanVerdict, kalman_certificate
 from .spectral import SpectralModel, SubdomainMask, _leggauss, mass_matrix
-from .system import CoupledSystem, FloatArray, _frozen
+from .system import CoupledSystem, FloatArray, _einsum, _frozen
 
 SPECTRAL_CUTOFF = 1e-12
 SOLVE_RTOL = 1e-8
@@ -48,14 +49,31 @@ def gauss_rule(a: float, b: float, npts: int) -> tuple[FloatArray, FloatArray]:
     return mid + half * x, half * w
 
 
-def _beta(system: CoupledSystem, gammas: FloatArray, tau: float,
-          times: FloatArray, Z: FloatArray) -> FloatArray:
-    """Control coefficients ``R^T E_k(t) z_k`` at window times, shape (T, m, K),
-    with the adjoint flow ``E_k(t) = expm(-(gamma_k D + Q)^T (tau - t))``."""
+def _adjoint_flows(system: CoupledSystem, gammas: FloatArray, tau: float,
+                   times: FloatArray) -> FloatArray:
+    """Adjoint flows ``E_k(t) = expm(-(gamma_k D + Q)^T (tau - t))`` at
+    window times, shape (T, K, n, n)."""
+    return mode_propagators(system, gammas, _gaps(tau, times), adjoint=True)
+
+
+def _gaps(tau: float, times: FloatArray) -> FloatArray:
     # times may overshoot tau by the roundoff beta_at tolerates
-    gaps = np.maximum(tau - np.asarray(times, dtype=float), 0.0)
-    flows = mode_propagators(system, gammas, gaps, adjoint=True)
-    return np.einsum("ai,tkab,kb->tik", system.R, flows, Z, optimize=True)
+    return np.maximum(tau - np.asarray(times, dtype=float), 0.0)
+
+
+def _beta(system: CoupledSystem, flows: FloatArray, Z: FloatArray) -> FloatArray:
+    """Control coefficients ``R^T E_k(t) z_k`` from the adjoint flows at
+    window times, shape (T, m, K)."""
+    return _einsum("ai,tkab,kb->tik", system.R, flows, Z)
+
+
+def _check_integral_step(tau: float, row_norm: float, col_norm: float) -> None:
+    step = tau * (row_norm + col_norm)
+    if step > STEP_BOUND:
+        raise PropagationStepError(
+            f"tau*(|A_j| + |A_k|) = {step:.3g} exceeds {STEP_BOUND:.0g}; "
+            f"shorten the window"
+        )
 
 
 def _window_integrals(system: CoupledSystem, rows: FloatArray, cols: FloatArray,
@@ -70,24 +88,13 @@ def _window_integrals(system: CoupledSystem, rows: FloatArray, cols: FloatArray,
     are the top-right block of ``expm(tau [[-L, [vec R_i R_i^T]_i], [0, 0]])``
     (Van Loan 1978), one :func:`expm_stack` call for every pair.
 
-    Raises
-    ------
-    PropagationStepError
-        If ``tau * (|A_j|_2 + |A_k|_2)``, a bound on ``tau |L|_2``,
-        exceeds ``STEP_BOUND``.
+    The caller checks the step: ``tau * (|A_j|_2 + |A_k|_2)``, a bound
+    on ``tau |L|_2``, must not exceed ``STEP_BOUND``
+    (:func:`_checked_integrals`).
     """
     n, m = system.n, system.m
-    rows, cols = np.asarray(rows, dtype=float), np.asarray(cols, dtype=float)
-    step = tau * sum(
-        float(np.linalg.norm(np.unique(g)[:, None, None] * system.D + system.Q,
-                             ord=2, axis=(1, 2)).max()) for g in (rows, cols))
-    if step > STEP_BOUND:
-        raise PropagationStepError(
-            f"tau*(|A_j| + |A_k|) = {step:.3g} exceeds {STEP_BOUND:.0g}; "
-            f"shorten the window"
-        )
-    a_rows = rows[..., None, None] * system.D + system.Q
-    a_cols = cols[..., None, None] * system.D + system.Q
+    a_rows = system.mode_matrices(rows)
+    a_cols = system.mode_matrices(cols)
     eye = np.eye(n)
     kron_sum = (np.einsum("...ab,cd->...acbd", a_rows, eye)
                 + np.einsum("ab,...cd->...acbd", eye, a_cols))
@@ -98,6 +105,23 @@ def _window_integrals(system: CoupledSystem, rows: FloatArray, cols: FloatArray,
                                                system.R).reshape(n * n, m)
     top_right = expm_stack(gen)[..., :n * n, n * n:]
     return np.moveaxis(top_right, -1, -2).reshape(pairs + (m, n, n))
+
+
+def _checked_integrals(system: CoupledSystem, rows: FloatArray, cols: FloatArray,
+                       tau: float) -> FloatArray:
+    """:func:`_window_integrals` after the step check.
+
+    Raises
+    ------
+    PropagationStepError
+        If ``tau * (|A_j|_2 + |A_k|_2)`` exceeds ``STEP_BOUND``.
+    """
+    rows, cols = np.asarray(rows, dtype=float), np.asarray(cols, dtype=float)
+    row_norm, col_norm = (
+        float(_generator_norms(system.mode_matrices(np.unique(g))).max())
+        for g in (rows, cols))
+    _check_integral_step(tau, row_norm, col_norm)
+    return _window_integrals(system, rows, cols, tau)
 
 
 def _window_masses(model: SpectralModel, masks: list[SubdomainMask],
@@ -115,13 +139,113 @@ def _same_masks(a: list[SubdomainMask], b: list[SubdomainMask]) -> bool:
         for u, v in zip(a, b))
 
 
+class _WindowCache:
+    """The state-free window data of one ``run_lr`` call.
+
+    A dyadic run revisits the same window lengths on every M-doubling
+    attempt, and nothing here depends on the state, so each quantity is
+    computed once per run: for each window length ``tau`` one dense
+    table of the forcing integrals ``X[j, k]`` over every pair of
+    simulated modes, the free propagators of the simulated modes and
+    their adjoint flows at a sampling grid; for each mode set its
+    channel masses; once per run the channel masses on the simulated
+    modes and the generator 2-norms of the step checks.  Every entry is
+    computed directly, as the uncached path computes it (no table entry
+    is the transpose of another), and the step checks run on the
+    requested modes only, so a read changes no bit and no error.
+
+    ``run_lr`` makes one per call and drops it on return; it holds at
+    most one table of each kind per window length.
+    """
+
+    def __init__(self, system: CoupledSystem, model: SpectralModel,
+                 masks: list[SubdomainMask], gamma_sim: float):
+        self.system, self.model, self.masks = system, model, list(masks)
+        self.sim_idx = np.flatnonzero(model.eigenvalues <= gamma_sim)
+        self.sim_gammas = model.eigenvalues[self.sim_idx]
+        self._mats = system.mode_matrices(self.sim_gammas)
+        self._adj_mats = system.mode_matrices(self.sim_gammas, adjoint=True)
+        self._norms = _generator_norms(self._mats)
+        self._adj_norms = _generator_norms(self._adj_mats)
+        self._entries: dict[tuple, object] = {}
+
+    def _get(self, key: tuple, build):
+        try:
+            return self._entries[key]
+        except KeyError:
+            value = self._entries[key] = build()
+            return value
+
+    def check(self, system: CoupledSystem, model: SpectralModel | None = None,
+              masks: list[SubdomainMask] | None = None,
+              sim_idx: npt.NDArray[np.int64] | None = None) -> None:
+        """Raise ValidationError unless the caller's data are this run's."""
+        if (system is not self.system
+                or (model is not None and model is not self.model)
+                or (masks is not None and not _same_masks(masks, self.masks))
+                or (sim_idx is not None
+                    and not np.array_equal(sim_idx, self.sim_idx))):
+            raise ValidationError("window cache belongs to another run")
+
+    def _positions(self, mode_indices: npt.ArrayLike) -> npt.NDArray[np.intp]:
+        return mode_positions(self.sim_idx, mode_indices, "the request")
+
+    def masses(self, mode_indices: npt.NDArray[np.int64]) -> tuple[FloatArray, ...]:
+        return self._get(("masses", mode_indices.tobytes()), lambda: _window_masses(
+            self.model, self.masks, mode_indices))
+
+    def cross(self, ctrl_pos: npt.NDArray[np.intp]) -> FloatArray:
+        """Channel masses between the simulated modes and the simulated
+        positions ``ctrl_pos``, shape (m, Ks, Kc)."""
+        full = self._get(("cross",), lambda: [
+            mass_matrix(self.model, mask, self.sim_idx) for mask in self.masks])
+        return np.stack([mass[:, ctrl_pos] for mass in full])
+
+    def integrals(self, tau: float, rows: npt.ArrayLike, cols: npt.ArrayLike
+                  ) -> FloatArray:
+        """:func:`_checked_integrals` for the broadcast mode index pairs
+        ``rows``/``cols``, read from the length's table."""
+        rpos, cpos = self._positions(rows), self._positions(cols)
+        _check_integral_step(tau, float(self._norms[rpos].max()),
+                             float(self._norms[cpos].max()))
+        g = self.sim_gammas
+        table = self._get(("integrals", tau), lambda: _window_integrals(
+            self.system, g[:, None], g[None, :], tau))
+        return table[rpos, cpos]
+
+    def propagators(self, tau: float, modes: npt.ArrayLike) -> FloatArray:
+        """``mode_propagators(system, gammas(modes), tau)``."""
+        pos = self._positions(modes)
+        _check_flow_step(float(tau) * float(self._norms[pos].max(initial=0.0)))
+        table = self._get(("propagators", tau), lambda: _flows(
+            self._mats, np.asarray(tau, dtype=float)))
+        return table[pos]
+
+    def adjoint_flows(self, tau: float, times: FloatArray, modes: npt.ArrayLike
+                      ) -> FloatArray:
+        """:func:`_adjoint_flows` of ``gammas(modes)``."""
+        pos = self._positions(modes)
+        gaps = _gaps(tau, times)
+        _check_flow_step(float(gaps.max(initial=0.0))
+                         * float(self._adj_norms[pos].max(initial=0.0)))
+        table = self._get(("flows", gaps.tobytes()),
+                          lambda: _flows(self._adj_mats, gaps))
+        return table[:, pos]
+
+
 def _gramian_matrix(system: CoupledSystem, gammas: FloatArray,
-                    masses: tuple[FloatArray, ...], tau: float) -> FloatArray:
-    """The symmetrized Gramian: block (k, l) is ``sum_i mass_i[k, l] X[k, l, i]``."""
+                    masses: tuple[FloatArray, ...], tau: float,
+                    upper: FloatArray | None = None) -> FloatArray:
+    """The symmetrized Gramian: block (k, l) is ``sum_i mass_i[k, l] X[k, l, i]``.
+
+    ``upper`` holds ``X`` of the pairs ``k <= l`` in ``np.triu_indices``
+    order when the caller has them; otherwise only those are integrated.
+    """
     K, n = len(gammas), system.n
-    # X[l, k, i] = X[k, l, i]^T, so only the pairs k <= l are integrated
     rows, cols = np.triu_indices(K)
-    upper = _window_integrals(system, gammas[rows], gammas[cols], tau)
+    if upper is None:
+        upper = _checked_integrals(system, gammas[rows], gammas[cols], tau)
+    # X[l, k, i] = X[k, l, i]^T
     X = np.empty((K, K) + upper.shape[1:])
     X[rows, cols] = upper
     X[cols, rows] = np.swapaxes(upper, -1, -2)
@@ -169,11 +293,14 @@ class Gramian:
 
 def assemble_gramian(system: CoupledSystem, model: SpectralModel,
                      masks: list[SubdomainMask], gamma_cut: float, tau: float,
-                     quad_nodes: int = 32) -> Gramian:
+                     quad_nodes: int = 32, *,
+                     cache: _WindowCache | None = None) -> Gramian:
     """Assemble the exact Gramian of the window ``[0, tau]``.
 
     Every block comes from :func:`_window_integrals`; ``quad_nodes``
-    only sets the Gauss grid on which controls are sampled.
+    only sets the Gauss grid on which controls are sampled.  With the
+    ``cache`` of a ``run_lr`` call the integrals and masses are read
+    from it; the Gramian is the same to the bit.
 
     Raises
     ------
@@ -200,9 +327,14 @@ def assemble_gramian(system: CoupledSystem, model: SpectralModel,
 
     idx = np.flatnonzero(model.eigenvalues <= gamma_cut)
     gammas = model.eigenvalues[idx]
-    masses = _window_masses(model, masks, idx)
+    if cache is None:
+        masses, upper = _window_masses(model, masks, idx), None
+    else:
+        cache.check(system, model, masks)
+        rows, cols = np.triu_indices(len(idx))
+        masses, upper = cache.masses(idx), cache.integrals(tau, idx[rows], idx[cols])
 
-    G = _gramian_matrix(system, gammas, masses, tau)
+    G = _gramian_matrix(system, gammas, masses, tau, upper)
     return Gramian(
         gamma_cut=float(gamma_cut),
         tau=float(tau),
@@ -247,8 +379,9 @@ class ControlTrajectory:
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         if np.any(t_arr < self.t0 - 1e-12) or np.any(t_arr > self.t1 + 1e-12):
             raise ValidationError("time outside the control window")
-        beta = _beta(self.system, self.eigenvalues, self.tau, t_arr - self.t0,
-                     self.datum)
+        flows = _adjoint_flows(self.system, self.eigenvalues, self.tau,
+                               t_arr - self.t0)
+        beta = _beta(self.system, flows, self.datum)
         return beta[0] if np.ndim(t) == 0 else beta
 
     @property
@@ -262,7 +395,8 @@ def synthesize_control(system: CoupledSystem, model: SpectralModel,
                        t0: float | None = None, quad_nodes: int = 32,
                        verdict: KalmanVerdict | None = None,
                        gramian: Gramian | None = None,
-                       run_scale: float = 0.0) -> ControlTrajectory:
+                       run_scale: float = 0.0,
+                       cache: _WindowCache | None = None) -> ControlTrajectory:
     """Minimal-norm control steering the low modes of ``y0_low`` to zero.
 
     Solves the Gramian normal equations ``G z = -b`` with ``b`` the free
@@ -277,6 +411,8 @@ def synthesize_control(system: CoupledSystem, model: SpectralModel,
     ``run_scale`` is the norm of the state a whole run started from
     (``run_lr`` passes ``|y0|``): a residual below ``1e-12 * run_scale``
     is accepted even when ``1e-8 * |b|`` lies under the roundoff floor.
+    ``cache`` is the window cache of a ``run_lr`` call (see
+    :func:`assemble_gramian`); it changes no result.
 
     Raises
     ------
@@ -302,7 +438,8 @@ def synthesize_control(system: CoupledSystem, model: SpectralModel,
             "y0_low carries modes above gamma_cut; project it first"
         )
     if gramian is None:
-        gramian = assemble_gramian(system, model, masks, gamma_cut, tau, quad_nodes)
+        gramian = assemble_gramian(system, model, masks, gamma_cut, tau,
+                                   quad_nodes, cache=cache)
     else:
         if abs(gramian.gamma_cut - gamma_cut) > 0 or abs(gramian.tau - tau) > 0:
             raise ValidationError("supplied Gramian was built for different (gamma, tau)")
@@ -315,7 +452,10 @@ def synthesize_control(system: CoupledSystem, model: SpectralModel,
     K, n = len(idx), system.n
 
     a0 = embed(y0_low, idx, "y0_low")
-    props = mode_propagators(system, gramian.eigenvalues, tau)
+    if cache is None:
+        props = mode_propagators(system, gramian.eigenvalues, tau)
+    else:
+        props = cache.propagators(tau, idx)
     b = np.einsum("kab,kb->ka", props, a0).reshape(K * n)
     b_norm = float(np.linalg.norm(b))
 
@@ -364,22 +504,28 @@ def synthesize_control(system: CoupledSystem, model: SpectralModel,
                 f"{RUN_RTOL:.0e} * |y0|) = {target:.3e}"
             )
 
+    if cache is None:
+        flows = _adjoint_flows(system, gramian.eigenvalues, tau, gramian.nodes)
+    else:
+        flows = cache.adjoint_flows(tau, gramian.nodes, idx)
     return _control_on_grid(system, zhat.reshape(K, n), gamma_cut, tau, t0,
                             idx, gramian.eigenvalues, gramian.matrix,
-                            gramian.nodes)
+                            gramian.nodes, flows)
 
 
 def _control_on_grid(system: CoupledSystem, datum: FloatArray,
                      gamma_cut: float, tau: float, t0: float,
                      mode_indices: npt.NDArray[np.int64], gammas: FloatArray,
-                     gram: FloatArray, nodes: FloatArray) -> ControlTrajectory:
+                     gram: FloatArray, nodes: FloatArray,
+                     flows: FloatArray) -> ControlTrajectory:
     """The control of adjoint datum ``datum`` on a window's mode set,
-    sampled at ``nodes`` in [0, tau]; ``gram`` is the window's Gramian."""
+    sampled at ``nodes`` in [0, tau] where the adjoint flows are
+    ``flows``; ``gram`` is the window's Gramian."""
     return ControlTrajectory(
         system=system, t0=float(t0), tau=float(tau), gamma_cut=float(gamma_cut),
         mode_indices=_frozen(mode_indices, np.int64), eigenvalues=_frozen(gammas),
         datum=_frozen(datum), nodes=_frozen(t0 + nodes),
-        coefficients=_frozen(_beta(system, gammas, tau, nodes, datum)),
+        coefficients=_frozen(_beta(system, flows, datum)),
         norm_sq=_gram_product(gram, datum, datum),
     )
 
@@ -404,8 +550,9 @@ def control_from_datum(system: CoupledSystem, model: SpectralModel,
         )
     gammas = model.eigenvalues[idx]
     G = _gramian_matrix(system, gammas, _window_masses(model, masks, idx), tau)
+    nodes = gauss_rule(0.0, tau, quad_nodes)[0]
     return _control_on_grid(system, Z, gamma_cut, tau, t0, idx, gammas, G,
-                            gauss_rule(0.0, tau, quad_nodes)[0])
+                            nodes, _adjoint_flows(system, gammas, tau, nodes))
 
 
 def control_inner_product(model: SpectralModel, masks: list[SubdomainMask],
@@ -423,8 +570,8 @@ def control_inner_product(model: SpectralModel, masks: list[SubdomainMask],
 
 def simulate_forward(system: CoupledSystem, model: SpectralModel,
                      masks: list[SubdomainMask], y0: ModeState,
-                     control: ControlTrajectory, gamma_sim: float,
-                     ) -> list[ModeState]:
+                     control: ControlTrajectory, gamma_sim: float, *,
+                     cache: _WindowCache | None = None) -> list[ModeState]:
     """Exact controlled flow through the window: ``[state at t0, state at t1]``.
 
     All modes with eigenvalue <= ``gamma_sim`` are carried, including
@@ -435,7 +582,9 @@ def simulate_forward(system: CoupledSystem, model: SpectralModel,
     ``e^{-tau A_j} a_j + sum_i sum_k cross_i[j, k] X[j, k, i] z_k`` with
     ``X`` from :func:`_window_integrals` (``k`` over the controlled
     modes), ``cross_i`` the channel's mass matrix between the two mode
-    sets and ``z`` the control's adjoint datum.
+    sets and ``z`` the control's adjoint datum.  With the ``cache`` of a
+    ``run_lr`` call, ``X``, ``cross`` and the free propagators are read
+    from it; the end state is the same to the bit.
 
     Raises
     ------
@@ -461,14 +610,21 @@ def simulate_forward(system: CoupledSystem, model: SpectralModel,
     a = embed(y0, sim_idx, "y0 (simulated up to gamma_sim)")
     # cross mass rows: how channel i forces every simulated mode
     ctrl_pos = mode_positions(sim_idx, control.mode_indices, "the control")
-    cross = np.stack([
-        mass_matrix(model, mask, sim_idx)[:, ctrl_pos] for mask in masks
-    ])  # (m, Ks, Kc)
-    X = _window_integrals(system, sim_gammas[:, None], control.eigenvalues[None],
-                          control.tau)
+    if cache is None:
+        cross = np.stack([
+            mass_matrix(model, mask, sim_idx)[:, ctrl_pos] for mask in masks
+        ])  # (m, Ks, Kc)
+        X = _checked_integrals(system, sim_gammas[:, None],
+                               control.eigenvalues[None], control.tau)
+        props = mode_propagators(system, sim_gammas, control.tau)
+    else:
+        cache.check(system, model, masks, sim_idx)
+        cross = cache.cross(ctrl_pos)
+        X = cache.integrals(control.tau, sim_idx[:, None],
+                            control.mode_indices[None])
+        props = cache.propagators(control.tau, sim_idx)
     forced = np.einsum("ijk,jkia->ja", cross,
                        np.einsum("jkiab,kb->jkia", X, control.datum))
-    props = mode_propagators(system, sim_gammas, control.tau)
     a_end = np.einsum("kab,kb->ka", props, a) + forced
 
     return [ModeState(mode_indices=_frozen(sim_idx, np.int64),

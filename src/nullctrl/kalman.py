@@ -42,7 +42,7 @@ def _kalman_stack(system: CoupledSystem, gammas: npt.ArrayLike) -> FloatArray:
     if not positive.all():
         raise ValidationError(
             f"mode eigenvalue must be positive, got {gammas[~positive][0]}")
-    A = gammas[:, None, None] * system.D + system.Q
+    A = system.mode_matrices(gammas)
     blocks = [np.broadcast_to(system.R, (len(gammas),) + system.R.shape)]
     for _ in range(system.n - 1):
         blocks.append(A @ blocks[-1])

@@ -22,7 +22,8 @@ from .dynamics import (ModeState, embed, full_state, project_high, project_low,
                        propagate)
 from .errors import (AdaptationError, ControllabilityError, NullCtrlError,
                      ScheduleError, ValidationError)
-from .hum import ControlTrajectory, simulate_forward, synthesize_control
+from .hum import (ControlTrajectory, _WindowCache, simulate_forward,
+                  synthesize_control)
 from .kalman import KalmanVerdict, kalman_certificate
 from .spectral import SpectralModel, SubdomainMask
 from .system import CoupledSystem
@@ -155,7 +156,7 @@ class _ContractionFailure(Exception):
 
 
 def _run_once(system, model, masks, y0_full, schedule, gamma_sim, quad_nodes,
-              verdict, adapt, run_scale):
+              verdict, adapt, run_scale, cache):
     records: list[WindowRecord] = []
     controls: list[ControlTrajectory] = []
     state = y0_full
@@ -169,16 +170,16 @@ def _run_once(system, model, masks, y0_full, schedule, gamma_sim, quad_nodes,
                 ctl = synthesize_control(system, model, masks, low, w.cutoff,
                                          w.length, t0=w.start,
                                          quad_nodes=quad_nodes, verdict=verdict,
-                                         run_scale=run_scale)
+                                         run_scale=run_scale, cache=cache)
             except NullCtrlError as exc:
                 raise type(exc)(f"window {w.index}: {exc}") from exc
             states = simulate_forward(system, model, masks, state, ctl,
-                                      gamma_sim)
+                                      gamma_sim, cache=cache)
             state = states[-1]
             controls.append(ctl)
             cost = ctl.norm
         else:
-            state = propagate(system, state, w.length)
+            state = propagate(system, state, w.length, cache=cache)
             cost = 0.0
         records.append(WindowRecord(
             index=w.index, phase=w.phase, start=w.start, length=w.length,
@@ -207,6 +208,13 @@ def run_lr(system: CoupledSystem, model: SpectralModel,
     removed by later, higher-cutoff windows.  With ``adapt`` on, the
     scale M doubles whenever a completed window pair fails to contract
     the state norm by the factor 0.9, capped at 8 doublings.
+
+    The pair lengths ``T/4/2^k`` do not change when M doubles, so the
+    state-free data of a window (forcing integrals, free propagators,
+    adjoint flows, subdomain masses) recur across attempts.  The run
+    keeps them in one window cache that lives for this call only and
+    holds at most one table per window length; every value read from
+    it is the one an uncached call computes, so it changes no result.
 
     Raises
     ------
@@ -237,6 +245,7 @@ def run_lr(system: CoupledSystem, model: SpectralModel,
     y0_norm = y0_full.norm()
     M_cur = float(M)
     doublings = 0
+    cache = _WindowCache(system, model, masks, gamma_sim)
     while True:
         schedule = build_schedule(T, M_cur, model.gamma_max)
         if y0_norm == 0.0:
@@ -246,7 +255,7 @@ def run_lr(system: CoupledSystem, model: SpectralModel,
         try:
             records, controls, final = _run_once(
                 system, model, masks, y0_full, schedule, gamma_sim,
-                quad_nodes, verdict, adapt, y0_norm)
+                quad_nodes, verdict, adapt, y0_norm, cache)
         except _ContractionFailure as fail:
             if doublings >= MAX_ADAPT_DOUBLINGS:
                 raise AdaptationError(

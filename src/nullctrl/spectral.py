@@ -24,7 +24,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .errors import ValidationError
-from .system import _frozen
+from .system import _einsum, _frozen
 
 FloatArray = npt.NDArray[np.float64]
 
@@ -150,7 +150,7 @@ class SpectralModel:
     def gram_matrix(self) -> FloatArray:
         """Quadrature Gram matrix of the basis over the full domain."""
         v = self.node_values
-        return np.einsum("kpc,lpc,p->kl", v, v, self.weights, optimize=True)
+        return _einsum("kpc,lpc,p->kl", v, v, self.weights)
 
 
 def dirichlet_interval_model(num_modes: int, length: float = np.pi) -> SpectralModel:
@@ -360,5 +360,5 @@ def mass_matrix(
             raise ValidationError("mode index out of range")
     v = model.node_values[idx][:, mask.member, :]
     w = model.weights[mask.member]
-    m = np.einsum("kpc,lpc,p->kl", v, v, w, optimize=True)
+    m = _einsum("kpc,lpc,p->kl", v, v, w)
     return 0.5 * (m + m.T)

@@ -12,6 +12,7 @@ matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import numpy.typing as npt
@@ -26,6 +27,22 @@ def _frozen(a: npt.ArrayLike, dtype=float) -> npt.NDArray:
     out = np.array(a, dtype=dtype, copy=True)
     out.flags.writeable = False
     return out
+
+
+@lru_cache(maxsize=256)
+def _einsum_path(subscripts: str, shapes: tuple[tuple[int, ...], ...]) -> list:
+    operands = [np.broadcast_to(0.0, shape) for shape in shapes]
+    return np.einsum_path(subscripts, *operands, optimize="greedy")[0]
+
+
+def _einsum(subscripts: str, *operands: npt.NDArray) -> npt.NDArray:
+    """``np.einsum(..., optimize=True)`` with its greedy contraction path
+    planned once per subscripts and operand shapes.
+
+    The cache holds plans, never results, so it changes no bit.
+    """
+    path = _einsum_path(subscripts, tuple(op.shape for op in operands))
+    return np.einsum(subscripts, *operands, optimize=path)
 
 
 @dataclass(frozen=True)
@@ -53,11 +70,17 @@ class CoupledSystem:
     coercivity_c: float
     q_norm: float
 
+    def mode_matrices(self, gammas: npt.ArrayLike, adjoint: bool = False) -> FloatArray:
+        """Mode generators ``gamma*D + Q`` of every entry of ``gammas``,
+        shape ``gammas.shape + (n, n)``; ``(gamma*D + Q)^T`` with ``adjoint``."""
+        D, Q = (self.D.T, self.Q.T) if adjoint else (self.D, self.Q)
+        return np.asarray(gammas, dtype=float)[..., None, None] * D + Q
+
     def mode_matrix(self, gamma: float) -> FloatArray:
         """Return ``gamma*D + Q`` for a single eigenvalue ``gamma > 0``."""
         if not gamma > 0.0:
             raise ValidationError(f"mode eigenvalue must be positive, got {gamma}")
-        return gamma * self.D + self.Q
+        return self.mode_matrices(gamma)
 
     def decay_bound(self, gamma: float, t: float) -> float:
         """Upper bound ``exp((q_norm - coercivity_c*gamma) * t)`` on the

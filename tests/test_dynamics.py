@@ -8,7 +8,7 @@ import nullctrl
 from nullctrl import (ModeState, PropagationStepError, ValidationError,
                       build_system, dirichlet_interval_model,
                       dissipation_check, full_state, mode_propagators,
-                      project_high, project_low, propagate, recombine,
+                      project_high, project_low, propagate,
                       reconstruct, single_mode_state)
 from nullctrl.dynamics import STEP_BOUND, expm_stack
 from conftest import taylor_expm
@@ -180,9 +180,9 @@ def test_projections_split_at_cutoff(case3_system, interval10):
     high = project_high(st, 5.0)
     assert low.mode_indices.tolist() == [0, 1]          # eigenvalues 1 and 4
     assert high.mode_indices.tolist() == list(range(2, 10))
-    back = recombine(low, high)
-    np.testing.assert_allclose(back.coefficients, st.coefficients, atol=0)
-    assert back.mode_indices.tolist() == st.mode_indices.tolist()
+    back = np.concatenate([low.coefficients, high.coefficients])
+    np.testing.assert_array_equal(back, st.coefficients)
+    assert low.time == high.time == st.time
 
 
 def test_projection_edge_cutoffs(interval10):
@@ -193,19 +193,6 @@ def test_projection_edge_cutoffs(interval10):
     assert project_high(st, 1e6).num_modes == 0
     with pytest.raises(ValidationError):
         project_low(st, 0.0)
-
-
-def test_recombine_rejects_overlap_and_time_mismatch(interval10):
-    rng = np.random.default_rng(5)
-    st = full_state(interval10, rng.standard_normal((10, 2)))
-    low = project_low(st, 5.0)
-    with pytest.raises(ValidationError):
-        recombine(low, low)
-    high = ModeState(mode_indices=np.arange(2, 10),
-                     eigenvalues=st.eigenvalues[2:],
-                     coefficients=st.coefficients[2:], time=0.7)
-    with pytest.raises(ValidationError):
-        recombine(low, high)
 
 
 def test_parseval_norm_matches_quadrature(interval10):

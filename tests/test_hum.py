@@ -10,7 +10,7 @@ from nullctrl import (ControllabilityError, ModeState, ObservabilityError,
                       mask_from_boxes, mass_matrix, mode_propagators,
                       project_high, project_low, propagate, simulate_forward,
                       synthesize_control)
-from nullctrl.hum import _window_integrals
+from nullctrl.hum import _WindowCache, _window_integrals
 from conftest import (config_file, controlled_window_oracle,
                       dense_time_quadrature)
 
@@ -281,6 +281,52 @@ def test_zero_control_matches_free_flow(case3_system, interval10,
     err = np.abs(states[-1].coefficients - free.coefficients).max()
     assert err <= 1e-12 * max(1.0, np.abs(free.coefficients).max())
     assert states[-1].time == pytest.approx(0.5)
+
+
+def test_window_cache_reads_are_the_uncached_results(case3_system, interval10,
+                                                     narrow_mask10):
+    rng = np.random.default_rng(8)
+    y0 = full_state(interval10, rng.standard_normal((10, 2)))
+    cache = _WindowCache(case3_system, interval10, narrow_mask10, 100.0)
+    for gamma, tau in ((25.0, 0.5), (50.0, 0.5), (25.0, 0.25)):
+        low = project_low(y0, gamma)
+        g = assemble_gramian(case3_system, interval10, narrow_mask10, gamma, tau)
+        g_cached = assemble_gramian(case3_system, interval10, narrow_mask10,
+                                    gamma, tau, cache=cache)
+        assert np.array_equal(g.matrix, g_cached.matrix)
+        c = synthesize_control(case3_system, interval10, narrow_mask10, low,
+                               gamma, tau)
+        c_cached = synthesize_control(case3_system, interval10, narrow_mask10,
+                                      low, gamma, tau, cache=cache)
+        assert np.array_equal(c.coefficients, c_cached.coefficients)
+        assert c.norm_sq == c_cached.norm_sq
+        end = simulate_forward(case3_system, interval10, narrow_mask10, y0,
+                               c, 100.0)[-1]
+        end_cached = simulate_forward(case3_system, interval10, narrow_mask10,
+                                      y0, c, 100.0, cache=cache)[-1]
+        assert np.array_equal(end.coefficients, end_cached.coefficients)
+        free = propagate(case3_system, y0, tau, cache=cache)
+        assert np.array_equal(free.coefficients,
+                              propagate(case3_system, y0, tau).coefficients)
+
+
+def test_window_cache_rejects_another_runs_data(case3_system, scalar_system,
+                                                interval10, narrow_mask10,
+                                                wide_mask10):
+    cache = _WindowCache(case3_system, interval10, narrow_mask10, 100.0)
+    y0 = full_state(interval10, np.ones((10, 1)))
+    with pytest.raises(ValidationError):
+        assemble_gramian(case3_system, interval10, wide_mask10, 25.0, 0.5,
+                         cache=cache)
+    with pytest.raises(ValidationError):
+        propagate(scalar_system, y0, 0.5, cache=cache)
+    c = synthesize_control(case3_system, interval10, narrow_mask10,
+                           project_low(full_state(interval10, np.ones((10, 2))),
+                                       25.0), 25.0, 0.5)
+    with pytest.raises(ValidationError):   # simulated modes differ
+        simulate_forward(case3_system, interval10, narrow_mask10,
+                         full_state(interval10, np.ones((10, 2))), c, 50.0,
+                         cache=cache)
 
 
 def test_full_domain_high_modes_evolve_freely(case3_system, interval10):

@@ -4,12 +4,14 @@ import pytest
 from nullctrl import (AdaptationError, ControllabilityError, ModeState,
                       ObservabilityError, ScheduleError, ValidationError,
                       build_schedule, build_system, cost_sweep,
-                      dirichlet_interval_model, full_state, mask_from_boxes,
-                      run_lr, synthesize_control)
-from nullctrl.dynamics import project_low, single_mode_state
+                      dirichlet_interval_model, full_state,
+                      kalman_certificate, load_config, mask_from_boxes,
+                      propagate, run_lr, simulate_forward, synthesize_control)
+from nullctrl import hum
+from nullctrl.dynamics import embed, project_low, single_mode_state
 from scipy.linalg import expm
 
-from conftest import controlled_window_oracle
+from conftest import config_file, controlled_window_oracle
 
 
 def test_schedule_dyadic_layout():
@@ -236,3 +238,66 @@ def test_cost_sweep_validation(scalar_system, interval10, narrow_mask10):
     with pytest.raises(ValidationError):
         cost_sweep(scalar_system, interval10, narrow_mask10, y0,
                    [1.0, 0.5, 0.25, 1.5])
+
+
+@pytest.fixture(scope="module")
+def case3_eighth():
+    """case3 at T = 1/8 from phi_1 in equation 1 (the ``lr-run`` default
+    datum): M doubles three times before the schedule contracts."""
+    cfg = load_config(config_file("case3.json"))
+    y0 = single_mode_state(cfg.model, 0, [1.0, 0.0])
+    return cfg, y0, 0.125
+
+
+def test_cached_run_replays_bitwise_through_uncached_calls(case3_eighth):
+    cfg, y0, T = case3_eighth
+    system, model, masks = cfg.system, cfg.model, list(cfg.masks)
+    res = run_lr(system, model, masks, y0, T)
+    assert res.doublings >= 2 and res.terminal_rel <= 1e-6
+    # replay the accepted schedule window by window without the run's cache
+    verdict = kalman_certificate(system, model)
+    state = full_state(model, embed(y0, np.arange(model.num_modes), "y0"))
+    controls = iter(res.controls)
+    for w, rec in zip(res.schedule.windows, res.records, strict=True):
+        if w.phase == "active":
+            ctl = synthesize_control(system, model, masks,
+                                     project_low(state, w.cutoff), w.cutoff,
+                                     w.length, t0=w.start, verdict=verdict,
+                                     run_scale=res.y0_norm)
+            got = next(controls)
+            assert np.array_equal(ctl.datum, got.datum)
+            assert np.array_equal(ctl.coefficients, got.coefficients)
+            assert ctl.norm_sq == got.norm_sq
+            state = simulate_forward(system, model, masks, state, ctl,
+                                     model.gamma_max)[-1]
+        else:
+            state = propagate(system, state, w.length)
+        assert state.norm() == rec.norm_end
+    assert next(controls, None) is None
+    assert state.norm() == res.terminal_norm
+
+
+def test_run_integrates_each_window_length_once(case3_eighth, monkeypatch):
+    cfg, y0, T = case3_eighth
+    calls, syntheses = [], []
+    integrals, synthesize = hum._window_integrals, hum.synthesize_control
+
+    def counted(system, rows, cols, tau):
+        calls.append(tau)
+        return integrals(system, rows, cols, tau)
+
+    def counted_synthesis(*args, **kwargs):
+        syntheses.append(args[5])
+        return synthesize(*args, **kwargs)
+
+    monkeypatch.setattr(hum, "_window_integrals", counted)
+    monkeypatch.setattr("nullctrl.lebeau_robbiano.synthesize_control",
+                        counted_synthesis)
+    for run in (1, 2):
+        res = run_lr(cfg.system, cfg.model, list(cfg.masks), y0, T)
+        # one table per window length, and none outlives its run
+        assert sorted(calls) == sorted(set(syntheses))
+        assert len(syntheses) > len(calls) > 0
+        assert len(res.controls) < len(syntheses)
+        calls.clear()
+        syntheses.clear()

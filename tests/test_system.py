@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nullctrl import CoercivityError, ValidationError, build_system
+from nullctrl.system import _einsum, _einsum_path
 
 
 def test_shapes_and_constants():
@@ -56,6 +57,30 @@ def test_mode_matrix_and_gamma_validation():
         sys_.mode_matrix(0.0)
     with pytest.raises(ValidationError):
         sys_.mode_matrix(-1.0)
+
+
+def test_mode_matrices_stack_the_scalar_generator():
+    sys_ = build_system([[1.0, 0.5], [0.0, 2.0]], [[0.0, 0.0], [1.0, 0.0]],
+                        [[1.0], [0.0]])
+    gammas = np.array([[1.0, 4.0], [9.0, 16.0]])
+    mats = sys_.mode_matrices(gammas)
+    assert mats.shape == (2, 2, 2, 2)
+    for g, mat in zip(gammas.ravel(), mats.reshape(-1, 2, 2)):
+        assert np.array_equal(mat, sys_.mode_matrix(float(g)))
+    adj = sys_.mode_matrices(gammas, adjoint=True)
+    assert np.array_equal(adj, np.swapaxes(mats, -1, -2))
+
+
+def test_einsum_plans_once_and_keeps_the_bits():
+    rng = np.random.default_rng(0)
+    v, w = rng.standard_normal((7, 30, 2)), rng.random(30)
+    _einsum_path.cache_clear()
+    for _ in range(3):
+        got = _einsum("kpc,lpc,p->kl", v, v, w)
+        assert np.array_equal(got, np.einsum("kpc,lpc,p->kl", v, v, w,
+                                             optimize=True))
+    info = _einsum_path.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_decay_bound_formula():
