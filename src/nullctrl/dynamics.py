@@ -6,8 +6,8 @@ mode k obeys ``a_k' + (gamma_k D + Q) a_k = 0`` and the adjoint the
 transposed version.  Both are solved exactly with matrix exponentials,
 so the only numerical error in an uncontrolled evolution is that of
 the exponential itself.  Every mode flow in the package goes through
-:func:`mode_propagators`, which evaluates a whole (time x mode) stack
-of exponentials in one call of the vectorized kernel
+:func:`mode_propagators`, which evaluates a whole (time x distinct
+eigenvalue) stack of exponentials in one call of the vectorized kernel
 :func:`expm_stack`.
 """
 
@@ -174,13 +174,32 @@ def _flows(mats: FloatArray, dt: FloatArray) -> FloatArray:
     return expm_stack(-dt[..., None, None, None] * mats)
 
 
+def _distinct(gammas: FloatArray
+              ) -> tuple[FloatArray, npt.NDArray[np.intp]] | None:
+    """The distinct values of a 1-d eigenvalue array and the slot of each
+    entry among them, or None for an array that is not 1-d or is
+    strictly increasing.
+
+    Values are equal only when they are equal floats, never within a
+    tolerance, so a quantity computed once per distinct value is the one
+    each entry would get.  A strictly increasing array (every interval
+    model) has nothing to merge and is answered by one comparison.
+    """
+    gammas = np.asarray(gammas)
+    if gammas.ndim != 1 or np.all(gammas[1:] > gammas[:-1]):
+        return None
+    return np.unique(gammas, return_inverse=True)
+
+
 def mode_propagators(system: CoupledSystem, eigenvalues: FloatArray,
                      dt: npt.ArrayLike, adjoint: bool = False) -> FloatArray:
     """Batched ``expm(-dt*(gamma_k D + Q))``, shape ``dt.shape + (K, n, n)``.
 
     ``dt`` is a scalar or an array of nonnegative steps; every step is
-    paired with every eigenvalue and the whole stack goes through one
-    call of :func:`expm_stack`.  The adjoint flag transposes the
+    paired with every distinct eigenvalue and the whole stack goes
+    through one call of :func:`expm_stack`, so a repeated eigenvalue
+    (a degenerate torus or square mode) costs nothing more and gets the
+    very flow of its first occurrence.  The adjoint flag transposes the
     generator.
 
     Raises
@@ -191,11 +210,14 @@ def mode_propagators(system: CoupledSystem, eigenvalues: FloatArray,
     dt = np.asarray(dt, dtype=float)
     if np.any(dt < 0.0):
         raise ValidationError(f"dt must be nonnegative, got {dt.min()}")
-    mats = system.mode_matrices(eigenvalues, adjoint)
-    if mats.size == 0 or dt.size == 0:
-        return np.empty(dt.shape + mats.shape)
+    if np.size(eigenvalues) == 0 or dt.size == 0:
+        return np.empty(dt.shape + np.shape(eigenvalues) + (system.n, system.n))
+    distinct = _distinct(eigenvalues)
+    mats = system.mode_matrices(eigenvalues if distinct is None else distinct[0],
+                                adjoint)
     _check_flow_step(float(dt.max()) * float(_generator_norms(mats).max()))
-    return _flows(mats, dt)
+    flows = _flows(mats, dt)
+    return flows if distinct is None else flows[..., distinct[1], :, :]
 
 
 def propagate(system: CoupledSystem, state: ModeState, dt: float,

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from .dynamics import (STEP_BOUND, ModeState, _check_flow_step, _flows,
-                       _generator_norms, embed, expm_stack, mode_positions,
-                       mode_propagators)
+from .dynamics import (STEP_BOUND, ModeState, _check_flow_step, _distinct,
+                       _flows, _generator_norms, embed, expm_stack,
+                       mode_positions, mode_propagators)
 from .errors import (ControllabilityError, ObservabilityError,
                      PropagationStepError, ValidationError)
 from .kalman import KalmanVerdict, kalman_certificate
@@ -86,7 +86,10 @@ def _window_integrals(system: CoupledSystem, rows: FloatArray, cols: FloatArray,
     the shape is ``broadcast shape + (m, n, n)``.  With
     ``L = A_j (x) I + I (x) A_k`` on row-major ``vec X``, the integrals
     are the top-right block of ``expm(tau [[-L, [vec R_i R_i^T]_i], [0, 0]])``
-    (Van Loan 1978), one :func:`expm_stack` call for every pair.
+    (Van Loan 1978), one :func:`expm_stack` call for every pair.  Each
+    pair's block depends on the two eigenvalues only, so callers pass
+    each distinct pair of values once (:func:`_pair_integrals`,
+    :func:`_outer_integrals`, :class:`_WindowCache`) and gather.
 
     The caller checks the step: ``tau * (|A_j|_2 + |A_k|_2)``, a bound
     on ``tau |L|_2``, must not exceed ``STEP_BOUND``
@@ -124,6 +127,33 @@ def _checked_integrals(system: CoupledSystem, rows: FloatArray, cols: FloatArray
     return _window_integrals(system, rows, cols, tau)
 
 
+def _pair_integrals(system: CoupledSystem, gammas: FloatArray,
+                    rows: npt.NDArray[np.intp], cols: npt.NDArray[np.intp],
+                    tau: float) -> FloatArray:
+    """:func:`_checked_integrals` of the pairs ``(gammas[rows], gammas[cols])``,
+    integrating each distinct ordered pair of values once."""
+    distinct = _distinct(gammas)
+    if distinct is None:
+        return _checked_integrals(system, gammas[rows], gammas[cols], tau)
+    values, slots = distinct
+    pairs, where = np.unique(slots[rows] * len(values) + slots[cols],
+                             return_inverse=True)
+    first, second = np.divmod(pairs, len(values))
+    return _checked_integrals(system, values[first], values[second], tau)[where]
+
+
+def _outer_integrals(system: CoupledSystem, rows: FloatArray, cols: FloatArray,
+                     tau: float) -> FloatArray:
+    """:func:`_checked_integrals` of every pair ``(rows[j], cols[k])``,
+    shape (J, K, m, n, n), integrating each distinct pair of values once."""
+    r, c = _distinct(rows), _distinct(cols)
+    X = _checked_integrals(system, (rows if r is None else r[0])[:, None],
+                           (cols if c is None else c[0])[None], tau)
+    if r is not None:
+        X = X[r[1]]
+    return X if c is None else X[:, c[1]]
+
+
 def _window_masses(model: SpectralModel, masks: list[SubdomainMask],
                    mode_indices: npt.NDArray[np.int64]) -> tuple[FloatArray, ...]:
     """Read-only subdomain mass matrix of each channel on a mode set."""
@@ -145,14 +175,16 @@ class _WindowCache:
     A dyadic run revisits the same window lengths on every M-doubling
     attempt, and nothing here depends on the state, so each quantity is
     computed once per run: for each window length ``tau`` one dense
-    table of the forcing integrals ``X[j, k]`` over every pair of
-    simulated modes, the free propagators of the simulated modes and
-    their adjoint flows at a sampling grid; for each mode set its
-    channel masses; once per run the channel masses on the simulated
-    modes and the generator 2-norms of the step checks.  Every entry is
-    computed directly, as the uncached path computes it (no table entry
-    is the transpose of another), and the step checks run on the
-    requested modes only, so a read changes no bit and no error.
+    table of the forcing integrals ``X`` over every pair of distinct
+    simulated eigenvalues, the free propagators of the distinct
+    eigenvalues and their adjoint flows at a sampling grid; for each
+    mode set its channel masses; once per run the channel masses on the
+    simulated modes and the generator 2-norms of the step checks.  A
+    mode reads the entries of its eigenvalue's slot, through a mode to
+    slot map built once.  Every entry is computed directly, as the
+    uncached path computes it (no table entry is the transpose of
+    another), and the step checks run on the requested modes only, so a
+    read changes no bit and no error.
 
     ``run_lr`` makes one per call and drops it on return; it holds at
     most one table of each kind per window length.
@@ -162,9 +194,14 @@ class _WindowCache:
                  masks: list[SubdomainMask], gamma_sim: float):
         self.system, self.model, self.masks = system, model, list(masks)
         self.sim_idx = np.flatnonzero(model.eigenvalues <= gamma_sim)
-        self.sim_gammas = model.eigenvalues[self.sim_idx]
-        self._mats = system.mode_matrices(self.sim_gammas)
-        self._adj_mats = system.mode_matrices(self.sim_gammas, adjoint=True)
+        self._values, slots = np.unique(model.eigenvalues[self.sim_idx],
+                                        return_inverse=True)
+        # slot of model mode k at entry k + 1; -1 for a mode outside the
+        # simulated set, and at both ends for indices out of range
+        self._slot = np.full(model.num_modes + 2, -1, dtype=np.intp)
+        self._slot[self.sim_idx + 1] = slots
+        self._mats = system.mode_matrices(self._values)
+        self._adj_mats = system.mode_matrices(self._values, adjoint=True)
         self._norms = _generator_norms(self._mats)
         self._adj_norms = _generator_norms(self._adj_mats)
         self._entries: dict[tuple, object] = {}
@@ -187,8 +224,21 @@ class _WindowCache:
                     and not np.array_equal(sim_idx, self.sim_idx))):
             raise ValidationError("window cache belongs to another run")
 
-    def _positions(self, mode_indices: npt.ArrayLike) -> npt.NDArray[np.intp]:
-        return mode_positions(self.sim_idx, mode_indices, "the request")
+    def _slots(self, mode_indices: npt.ArrayLike) -> npt.NDArray[np.intp]:
+        """Distinct-eigenvalue slot of each mode index.
+
+        Raises
+        ------
+        ValidationError
+            If some mode is not simulated.
+        """
+        modes = np.asarray(mode_indices)
+        slots = self._slot.take(modes + 1, mode="clip")
+        if slots.min(initial=0) < 0:
+            outside = np.setdiff1d(modes, self.sim_idx)
+            raise ValidationError(f"the request carries modes {outside.tolist()} "
+                                  f"outside the {len(self.sim_idx)}-mode set")
+        return slots
 
     def masses(self, mode_indices: npt.NDArray[np.int64]) -> tuple[FloatArray, ...]:
         return self._get(("masses", mode_indices.tobytes()), lambda: _window_masses(
@@ -205,32 +255,32 @@ class _WindowCache:
                   ) -> FloatArray:
         """:func:`_checked_integrals` for the broadcast mode index pairs
         ``rows``/``cols``, read from the length's table."""
-        rpos, cpos = self._positions(rows), self._positions(cols)
-        _check_integral_step(tau, float(self._norms[rpos].max()),
-                             float(self._norms[cpos].max()))
-        g = self.sim_gammas
+        rs, cs = self._slots(rows), self._slots(cols)
+        _check_integral_step(tau, float(self._norms[rs].max()),
+                             float(self._norms[cs].max()))
+        g = self._values
         table = self._get(("integrals", tau), lambda: _window_integrals(
             self.system, g[:, None], g[None, :], tau))
-        return table[rpos, cpos]
+        return table[rs, cs]
 
     def propagators(self, tau: float, modes: npt.ArrayLike) -> FloatArray:
         """``mode_propagators(system, gammas(modes), tau)``."""
-        pos = self._positions(modes)
-        _check_flow_step(float(tau) * float(self._norms[pos].max(initial=0.0)))
+        slots = self._slots(modes)
+        _check_flow_step(float(tau) * float(self._norms[slots].max(initial=0.0)))
         table = self._get(("propagators", tau), lambda: _flows(
             self._mats, np.asarray(tau, dtype=float)))
-        return table[pos]
+        return table[slots]
 
     def adjoint_flows(self, tau: float, times: FloatArray, modes: npt.ArrayLike
                       ) -> FloatArray:
         """:func:`_adjoint_flows` of ``gammas(modes)``."""
-        pos = self._positions(modes)
+        slots = self._slots(modes)
         gaps = _gaps(tau, times)
         _check_flow_step(float(gaps.max(initial=0.0))
-                         * float(self._adj_norms[pos].max(initial=0.0)))
+                         * float(self._adj_norms[slots].max(initial=0.0)))
         table = self._get(("flows", gaps.tobytes()),
                           lambda: _flows(self._adj_mats, gaps))
-        return table[:, pos]
+        return table[:, slots]
 
 
 def _gramian_matrix(system: CoupledSystem, gammas: FloatArray,
@@ -239,12 +289,13 @@ def _gramian_matrix(system: CoupledSystem, gammas: FloatArray,
     """The symmetrized Gramian: block (k, l) is ``sum_i mass_i[k, l] X[k, l, i]``.
 
     ``upper`` holds ``X`` of the pairs ``k <= l`` in ``np.triu_indices``
-    order when the caller has them; otherwise only those are integrated.
+    order when the caller has them; otherwise only those are integrated,
+    once per distinct pair ``(gamma_k, gamma_l)``.
     """
     K, n = len(gammas), system.n
     rows, cols = np.triu_indices(K)
     if upper is None:
-        upper = _checked_integrals(system, gammas[rows], gammas[cols], tau)
+        upper = _pair_integrals(system, gammas, rows, cols, tau)
     # X[l, k, i] = X[k, l, i]^T
     X = np.empty((K, K) + upper.shape[1:])
     X[rows, cols] = upper
@@ -614,8 +665,8 @@ def simulate_forward(system: CoupledSystem, model: SpectralModel,
         cross = np.stack([
             mass_matrix(model, mask, sim_idx)[:, ctrl_pos] for mask in masks
         ])  # (m, Ks, Kc)
-        X = _checked_integrals(system, sim_gammas[:, None],
-                               control.eigenvalues[None], control.tau)
+        X = _outer_integrals(system, sim_gammas, control.eigenvalues,
+                             control.tau)
         props = mode_propagators(system, sim_gammas, control.tau)
     else:
         cache.check(system, model, masks, sim_idx)

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (ModeState, embed, full_state, project_high, project_low,
-                       propagate)
+from .dynamics import ModeState, embed, full_state, project_low, propagate
 from .errors import (AdaptationError, ControllabilityError, NullCtrlError,
                      ScheduleError, ValidationError)
 from .hum import (ControlTrajectory, _WindowCache, simulate_forward,
@@ -181,11 +180,12 @@ def _run_once(system, model, masks, y0_full, schedule, gamma_sim, quad_nodes,
         else:
             state = propagate(system, state, w.length, cache=cache)
             cost = 0.0
+        coef, gammas = state.coefficients, state.eigenvalues
         records.append(WindowRecord(
             index=w.index, phase=w.phase, start=w.start, length=w.length,
             cutoff=w.cutoff, norm_start=norm_start, norm_end=state.norm(),
-            low_end=project_low(state, w.cutoff).norm(),
-            high_end=project_high(state, w.cutoff).norm(),
+            low_end=float(np.linalg.norm(coef[gammas <= w.cutoff])),
+            high_end=float(np.linalg.norm(coef[gammas > w.cutoff])),
             cost=cost,
         ))
         if adapt and w.phase == "passive" and w.index < schedule.num_pairs:

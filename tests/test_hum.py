@@ -9,8 +9,11 @@ from nullctrl import (ControllabilityError, ModeState, ObservabilityError,
                       full_domain_mask, full_state, load_config,
                       mask_from_boxes, mass_matrix, mode_propagators,
                       project_high, project_low, propagate, simulate_forward,
-                      synthesize_control)
-from nullctrl.hum import _WindowCache, _window_integrals
+                      synthesize_control, torus_stokes_model)
+from nullctrl import hum
+from nullctrl.dynamics import expm_stack
+from nullctrl.hum import (_WindowCache, _gramian_matrix, _outer_integrals,
+                          _window_integrals)
 from conftest import (config_file, controlled_window_oracle,
                       dense_time_quadrature)
 
@@ -327,6 +330,65 @@ def test_window_cache_rejects_another_runs_data(case3_system, scalar_system,
         simulate_forward(case3_system, interval10, narrow_mask10,
                          full_state(interval10, np.ones((10, 2))), c, 50.0,
                          cache=cache)
+
+
+def test_window_cache_rejects_modes_outside_the_simulated_set(
+        case3_system, interval10, narrow_mask10):
+    cache = _WindowCache(case3_system, interval10, narrow_mask10, 50.0)
+    inside = np.arange(7)                  # eigenvalues 1, 4, ..., 49
+    assert cache.propagators(0.5, inside).shape == (7, 2, 2)
+    for outside in ([7], [10], [-1], [0, 9]):
+        with pytest.raises(ValidationError, match="outside the 7-mode set"):
+            cache.propagators(0.5, np.array(outside))
+        with pytest.raises(ValidationError):
+            cache.integrals(0.5, inside[:, None], np.array(outside)[None])
+        with pytest.raises(ValidationError):
+            cache.adjoint_flows(0.5, np.array([0.0, 0.25]), np.array(outside))
+
+
+def _torus(num_modes):
+    cfg = load_config(config_file("torus_stokes.json"))
+    model = torus_stokes_model(num_modes)
+    return cfg.system, model, [mask_from_boxes(model, 0, list(cfg.masks[0].boxes))]
+
+
+def test_repeated_eigenvalues_get_the_per_mode_flows_and_integrals():
+    # torus modes share eigenvalues (20 modes, 4 values); every flow and
+    # window integral must be the one a mode-by-mode evaluation gives
+    system, model, masks = _torus(20)
+    g = model.eigenvalues
+    assert len(np.unique(g)) == 4
+    for adjoint in (False, True):
+        for dt in (0.0, 0.125, 0.5):
+            ref = np.stack([expm_stack(-dt * system.mode_matrices(g[k:k + 1],
+                                                                  adjoint))[0]
+                            for k in range(len(g))])
+            assert np.array_equal(mode_propagators(system, g, dt, adjoint), ref)
+    tau = 0.125
+    gram = assemble_gramian(system, model, masks, model.gamma_max, tau)
+    rows, cols = np.triu_indices(len(g))
+    upper = np.stack([_window_integrals(system, g[k:k + 1], g[l:l + 1], tau)[0]
+                      for k, l in zip(rows, cols)])
+    assert np.array_equal(gram.matrix, _gramian_matrix(system, g, gram.masses,
+                                                       tau, upper))
+    outer = _outer_integrals(system, g, g[:7], tau)
+    assert np.array_equal(outer, _window_integrals(system, g[:, None],
+                                                   g[None, :7], tau))
+
+
+def test_gramian_integrates_each_distinct_eigenvalue_pair_once(monkeypatch):
+    # 48 torus modes carry 9 distinct eigenvalues: 45 pairs, not 1,176
+    system, model, masks = _torus(48)
+    assert len(np.unique(model.eigenvalues)) == 9
+    blocks = []
+
+    def counting(A):
+        blocks.append(int(np.prod(np.shape(A)[:-2])))
+        return expm_stack(A)
+
+    monkeypatch.setattr(hum, "expm_stack", counting)
+    assemble_gramian(system, model, masks, model.gamma_max, 0.125)
+    assert blocks == [45]
 
 
 def test_full_domain_high_modes_evolve_freely(case3_system, interval10):
