@@ -157,16 +157,48 @@ def embed(state: ModeState, mode_set: npt.NDArray[np.int64], what: str) -> Float
     return coef
 
 
-def _generator_norms(mats: FloatArray) -> FloatArray:
-    """2-norm of every mode generator in a stack, the step checks' bound."""
-    return np.linalg.norm(mats, ord=2, axis=(-2, -1))
+# relative roundoff allowance when Frobenius norms stand in for 2-norms
+_FROBENIUS_SLACK = 1.0 + 1e-12
+_FLOW_STEP = "dt*|gamma D + Q| = {step:.3g} exceeds {bound:.0g}; subdivide the step"
 
 
-def _check_flow_step(step: float) -> None:
-    if step > STEP_BOUND:
-        raise PropagationStepError(
-            f"dt*|gamma D + Q| = {step:.3g} exceeds {STEP_BOUND:.0g}; subdivide the step"
-        )
+class _StepNorms:
+    """Norms of a stack of mode generators for the step checks: the
+    Frobenius norms at once, the 2-norms (one SVD call on the stack)
+    the first time a check needs them."""
+
+    def __init__(self, mats: FloatArray):
+        self._mats = mats
+        self._frobenius = np.linalg.norm(mats, axis=(-2, -1))
+        self._two: FloatArray | None = None
+
+    def largest(self, slots, exact: bool) -> float:
+        """Largest Frobenius norm, or 2-norm if ``exact``, among ``slots``."""
+        if exact and self._two is None:
+            self._two = np.linalg.norm(self._mats, ord=2, axis=(-2, -1))
+        norms = self._two if exact else self._frobenius
+        return float(norms[slots].max(initial=0.0))
+
+
+def _check_step(scale: float, terms: list[tuple[_StepNorms, object]],
+                message: str) -> None:
+    """Raise ``PropagationStepError(message)`` when ``scale`` times the
+    sum, over the ``(norms, slots)`` terms, of the largest generator
+    2-norm among ``slots`` exceeds ``STEP_BOUND``.
+
+    The Frobenius norm bounds the 2-norm, so a step whose Frobenius sum,
+    widened by a roundoff slack, is within ``STEP_BOUND`` passes without
+    an SVD; every other step is decided on the 2-norms, so the same
+    steps fail, with the same message.
+    """
+    def step(exact: bool) -> float:
+        return scale * sum(norms.largest(slots, exact) for norms, slots in terms)
+
+    if step(False) * _FROBENIUS_SLACK <= STEP_BOUND:
+        return
+    exact = step(True)
+    if exact > STEP_BOUND:
+        raise PropagationStepError(message.format(step=exact, bound=STEP_BOUND))
 
 
 def _flows(mats: FloatArray, dt: FloatArray) -> FloatArray:
@@ -215,7 +247,7 @@ def mode_propagators(system: CoupledSystem, eigenvalues: FloatArray,
     distinct = _distinct(eigenvalues)
     mats = system.mode_matrices(eigenvalues if distinct is None else distinct[0],
                                 adjoint)
-    _check_flow_step(float(dt.max()) * float(_generator_norms(mats).max()))
+    _check_step(float(dt.max()), [(_StepNorms(mats), slice(None))], _FLOW_STEP)
     flows = _flows(mats, dt)
     return flows if distinct is None else flows[..., distinct[1], :, :]
 

@@ -27,11 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from .dynamics import (STEP_BOUND, ModeState, _check_flow_step, _distinct,
-                       _flows, _generator_norms, embed, expm_stack,
-                       mode_positions, mode_propagators)
-from .errors import (ControllabilityError, ObservabilityError,
-                     PropagationStepError, ValidationError)
+from .dynamics import (_FLOW_STEP, ModeState, _StepNorms, _check_step,
+                       _distinct, _flows, embed, expm_stack, mode_positions,
+                       mode_propagators)
+from .errors import ControllabilityError, ObservabilityError, ValidationError
 from .kalman import KalmanVerdict, kalman_certificate
 from .spectral import SpectralModel, SubdomainMask, _leggauss, mass_matrix
 from .system import CoupledSystem, FloatArray, _einsum, _frozen
@@ -67,13 +66,8 @@ def _beta(system: CoupledSystem, flows: FloatArray, Z: FloatArray) -> FloatArray
     return _einsum("ai,tkab,kb->tik", system.R, flows, Z)
 
 
-def _check_integral_step(tau: float, row_norm: float, col_norm: float) -> None:
-    step = tau * (row_norm + col_norm)
-    if step > STEP_BOUND:
-        raise PropagationStepError(
-            f"tau*(|A_j| + |A_k|) = {step:.3g} exceeds {STEP_BOUND:.0g}; "
-            f"shorten the window"
-        )
+_INTEGRAL_STEP = ("tau*(|A_j| + |A_k|) = {step:.3g} exceeds {bound:.0g}; "
+                  "shorten the window")
 
 
 def _window_integrals(system: CoupledSystem, rows: FloatArray, cols: FloatArray,
@@ -120,10 +114,8 @@ def _checked_integrals(system: CoupledSystem, rows: FloatArray, cols: FloatArray
         If ``tau * (|A_j|_2 + |A_k|_2)`` exceeds ``STEP_BOUND``.
     """
     rows, cols = np.asarray(rows, dtype=float), np.asarray(cols, dtype=float)
-    row_norm, col_norm = (
-        float(_generator_norms(system.mode_matrices(np.unique(g))).max())
-        for g in (rows, cols))
-    _check_integral_step(tau, row_norm, col_norm)
+    _check_step(tau, [(_StepNorms(system.mode_matrices(np.unique(g))), slice(None))
+                      for g in (rows, cols)], _INTEGRAL_STEP)
     return _window_integrals(system, rows, cols, tau)
 
 
@@ -179,7 +171,7 @@ class _WindowCache:
     simulated eigenvalues, the free propagators of the distinct
     eigenvalues and their adjoint flows at a sampling grid; for each
     mode set its channel masses; once per run the channel masses on the
-    simulated modes and the generator 2-norms of the step checks.  A
+    simulated modes and the generator norms of the step checks.  A
     mode reads the entries of its eigenvalue's slot, through a mode to
     slot map built once.  Every entry is computed directly, as the
     uncached path computes it (no table entry is the transpose of
@@ -202,8 +194,8 @@ class _WindowCache:
         self._slot[self.sim_idx + 1] = slots
         self._mats = system.mode_matrices(self._values)
         self._adj_mats = system.mode_matrices(self._values, adjoint=True)
-        self._norms = _generator_norms(self._mats)
-        self._adj_norms = _generator_norms(self._adj_mats)
+        self._norms = _StepNorms(self._mats)
+        self._adj_norms = _StepNorms(self._adj_mats)
         self._entries: dict[tuple, object] = {}
 
     def _get(self, key: tuple, build):
@@ -256,8 +248,7 @@ class _WindowCache:
         """:func:`_checked_integrals` for the broadcast mode index pairs
         ``rows``/``cols``, read from the length's table."""
         rs, cs = self._slots(rows), self._slots(cols)
-        _check_integral_step(tau, float(self._norms[rs].max()),
-                             float(self._norms[cs].max()))
+        _check_step(tau, [(self._norms, rs), (self._norms, cs)], _INTEGRAL_STEP)
         g = self._values
         table = self._get(("integrals", tau), lambda: _window_integrals(
             self.system, g[:, None], g[None, :], tau))
@@ -266,7 +257,7 @@ class _WindowCache:
     def propagators(self, tau: float, modes: npt.ArrayLike) -> FloatArray:
         """``mode_propagators(system, gammas(modes), tau)``."""
         slots = self._slots(modes)
-        _check_flow_step(float(tau) * float(self._norms[slots].max(initial=0.0)))
+        _check_step(float(tau), [(self._norms, slots)], _FLOW_STEP)
         table = self._get(("propagators", tau), lambda: _flows(
             self._mats, np.asarray(tau, dtype=float)))
         return table[slots]
@@ -276,8 +267,8 @@ class _WindowCache:
         """:func:`_adjoint_flows` of ``gammas(modes)``."""
         slots = self._slots(modes)
         gaps = _gaps(tau, times)
-        _check_flow_step(float(gaps.max(initial=0.0))
-                         * float(self._adj_norms[slots].max(initial=0.0)))
+        _check_step(float(gaps.max(initial=0.0)), [(self._adj_norms, slots)],
+                    _FLOW_STEP)
         table = self._get(("flows", gaps.tobytes()),
                           lambda: _flows(self._adj_mats, gaps))
         return table[:, slots]

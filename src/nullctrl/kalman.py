@@ -32,6 +32,8 @@ from .system import CoupledSystem, FloatArray
 RANK_RTOL = 1e-10
 MATCH_RTOL = 1e-8
 SNAP_RTOL = 1e-3
+# determinant screen of the full-rank test (_full_rank_stack)
+_SCREEN_THETA = 1e-8
 
 
 def _kalman_stack(system: CoupledSystem, gammas: npt.ArrayLike) -> FloatArray:
@@ -59,6 +61,13 @@ def _column_normalized(K: FloatArray) -> FloatArray:
     return K / np.where(norms == 0.0, 1.0, norms)
 
 
+def _svd_ranks(K_hat: FloatArray) -> npt.NDArray[np.intp]:
+    """The rank rule on a stack of column-normalized Kalman matrices,
+    from one SVD call."""
+    s = np.linalg.svd(K_hat, compute_uv=False)
+    return (s > RANK_RTOL * s[:, :1]).sum(axis=-1)
+
+
 def _ranks(system: CoupledSystem, gammas: npt.ArrayLike) -> npt.NDArray[np.intp]:
     """Numerical rank of K(gamma) at every eigenvalue in ``gammas``, by the
     rule of :func:`rank_at`, from one SVD call on the stack.
@@ -66,9 +75,45 @@ def _ranks(system: CoupledSystem, gammas: npt.ArrayLike) -> npt.NDArray[np.intp]
     An all-zero K has no singular value above ``RANK_RTOL * 0`` and so
     rank 0.
     """
-    s = np.linalg.svd(_column_normalized(_kalman_stack(system, gammas)),
-                      compute_uv=False)
-    return (s > RANK_RTOL * s[:, :1]).sum(axis=-1)
+    return _svd_ranks(_column_normalized(_kalman_stack(system, gammas)))
+
+
+def _full_rank_stack(K: FloatArray) -> npt.NDArray[np.bool_]:
+    """``rank == n`` for every Kalman matrix of a (G, n, n*m) stack, by the
+    rule of :func:`_ranks`, with an SVD only where a determinant screen
+    cannot decide.
+
+    Let ``K^`` be the column-normalized matrix, ``s_1 >= ... >= s_n`` its
+    singular values and ``H = K^ K^T``, whose eigenvalues are the
+    ``s_i^2``.  Then ``det H = prod s_i^2 <= s_n^2 s_1^(2(n-1))`` and
+    ``tr H = sum s_i^2 >= s_1^2``, so
+
+        (s_n / s_1)^2 >= det H / tr(H)^n.
+
+    The screen clears a matrix when ``det H > _SCREEN_THETA * tr(H)^n``,
+    so a cleared matrix has ``s_n / s_1 > 1e-4``, six orders of
+    magnitude above ``RANK_RTOL``.  That margin dwarfs the roundoff:
+    forming ``H`` and its determinant (a Gram product of unit columns
+    and a backward stable LU) moves the eigenvalues of ``H`` by a small
+    multiple of ``eps * tr H``, against the ``1e-8 * tr H`` the screen
+    demands of the least one, and the SVD finds ``s_n`` to within about
+    ``eps * s_1``.  So the SVD rule calls every cleared matrix full
+    rank too.  The rest (a zero ``H``, a rank drop, a nearly dependent
+    set) go to that rule, on the same normalized matrices.
+    """
+    n = K.shape[-2]
+    K_hat = _column_normalized(K)
+    H = K_hat @ np.swapaxes(K_hat, -1, -2)
+    full = np.linalg.det(H) > _SCREEN_THETA * np.trace(H, axis1=-2, axis2=-1) ** n
+    rest = np.flatnonzero(~full)
+    if rest.size:
+        full[rest] = _svd_ranks(K_hat[rest]) == n
+    return full
+
+
+def _full_rank(system: CoupledSystem, gammas: npt.ArrayLike) -> npt.NDArray[np.bool_]:
+    """``_ranks(system, gammas) == n``, screened by :func:`_full_rank_stack`."""
+    return _full_rank_stack(_kalman_stack(system, gammas))
 
 
 def rank_at(system: CoupledSystem, gamma: float) -> int:
@@ -108,6 +153,13 @@ def minor_polynomials(system: CoupledSystem, gamma_lo: float) -> tuple[FloatArra
     ``(n_minors, deg+1)`` coefficient array in the Chebyshev basis of
     that interval.
     """
+    samples, _, coeffs = _minor_fit(system, gamma_lo)
+    return samples, coeffs
+
+
+def _minor_fit(system: CoupledSystem, gamma_lo: float
+               ) -> tuple[FloatArray, FloatArray, FloatArray]:
+    """:func:`minor_polynomials`, plus the Kalman stack of the samples."""
     if not gamma_lo > 0.0:
         raise ValidationError(f"gamma_lo must be positive, got {gamma_lo}")
     n = system.n
@@ -119,7 +171,7 @@ def minor_polynomials(system: CoupledSystem, gamma_lo: float) -> tuple[FloatArra
     K = _kalman_stack(system, samples)                      # (deg+1, n, nm)
     vals = np.linalg.det(K[:, :, cols].transpose(0, 2, 1, 3))
     coeffs = C.chebfit(u, vals, deg).T
-    return samples, coeffs
+    return samples, K, coeffs
 
 
 @dataclass(frozen=True)
@@ -145,8 +197,32 @@ class KalmanVerdict:
 
 
 def _cluster(roots: np.ndarray) -> list[float]:
+    """Sorted roots with each run of close ones merged into a running
+    mean: a root within ``MATCH_RTOL`` (relative) of the current cluster
+    value moves that value to the midpoint of the two, any other root
+    starts a cluster.
+
+    The running mean of a run of nonnegative sorted roots never exceeds
+    its last root, so a gap wider than ``MATCH_RTOL * (1 + r_prev)`` to
+    the previous root always starts a cluster; only the runs between
+    such gaps are merged one root at a time.
+    """
+    r = np.sort(roots)
+    if not len(r):
+        return []
+    prev = r[:-1]
+    close = (r[1:] - prev <= MATCH_RTOL * (1.0 + prev)) | (prev < 0.0)
+    starts = np.flatnonzero(np.concatenate([[True], ~close]))
+    stops = np.append(starts[1:], len(r))
+    out: list[float] = r[starts].tolist()
+    for k in np.flatnonzero(stops - starts > 1)[::-1]:
+        out[k:k + 1] = _merge_run(r[starts[k]:stops[k]])
+    return out
+
+
+def _merge_run(run: np.ndarray) -> list[float]:
     out: list[float] = []
-    for r in np.sort(roots):
+    for r in run:
         if out and abs(r - out[-1]) <= MATCH_RTOL * (1.0 + abs(out[-1])):
             out[-1] = 0.5 * (out[-1] + r)
         else:
@@ -202,6 +278,31 @@ def _real_roots(coeffs: FloatArray) -> FloatArray:
     return r[np.abs(r.imag) <= 1e-6 * (1.0 + np.abs(r.real))].real
 
 
+def _nearest(values: FloatArray, points: FloatArray) -> npt.NDArray[np.intp]:
+    """``np.argmin(np.abs(values - x))`` for every ``x`` in ``points``: the
+    first index of the entry of the sorted, nonempty ``values`` nearest
+    each point.
+
+    A float difference is monotone in its operands, so the nearest entry
+    is one of the two around the point's ``searchsorted`` slot, the
+    first of its value's run on a tie.  Only an entry before that run
+    can tie with it too (when rounding merges their distances); those
+    rare points are answered by ``argmin`` itself.
+    """
+    hi = np.searchsorted(values, points)
+    above = np.minimum(hi, len(values) - 1)
+    below = np.searchsorted(values, values[np.maximum(hi - 1, 0)])
+    d_below = np.abs(values[below] - points)
+    take_below = (hi > 0) & ((hi == len(values))
+                             | (d_below <= np.abs(values[above] - points)))
+    near = np.where(take_below, below, above)
+    tied = np.flatnonzero(take_below & (below > 0))
+    tied = tied[np.abs(values[below[tied] - 1] - points[tied]) == d_below[tied]]
+    for i in tied:
+        near[i] = np.argmin(np.abs(values - points[i]))
+    return near
+
+
 def _rank_drops(system: CoupledSystem, gamma_lo: float, eigenvalues: FloatArray
                 ) -> tuple[list[float], bool, npt.NDArray[np.bool_] | None]:
     """:func:`bad_set`, with each candidate near one of ``eigenvalues``
@@ -213,13 +314,15 @@ def _rank_drops(system: CoupledSystem, gamma_lo: float, eigenvalues: FloatArray
     ``SNAP_RTOL`` of an eigenvalue, and not already a confirmed match
     for it, is therefore checked at the eigenvalue and, if the rank
     drops there, reported once as the eigenvalue.  The samples and the
-    eigenvalues are ranked in one batched call, the clustered candidates
-    in another.  A degenerate system returns before any root is
-    computed, with no mask.
+    eigenvalues (sorted, as a model's are) are ranked in one batched
+    call, the clustered candidates in another (:func:`_full_rank`), and
+    :func:`_confirm` settles the candidates.  A degenerate system
+    returns before any root is computed, with no mask.
     """
     n = system.n
-    samples, coeffs = minor_polynomials(system, gamma_lo)
-    full = _ranks(system, np.concatenate([samples, eigenvalues])) == n
+    samples, K_samples, coeffs = _minor_fit(system, gamma_lo)
+    full = _full_rank_stack(np.concatenate(
+        [K_samples, _kalman_stack(system, eigenvalues)]))
     if not full[:len(samples)].any():
         return [], True, None
     eigen_drops = ~full[len(samples):]
@@ -227,24 +330,46 @@ def _rank_drops(system: CoupledSystem, gamma_lo: float, eigenvalues: FloatArray
     lo, hi = gamma_lo, gamma_lo + deg + 1.0
     gammas = lo + 0.5 * (_real_roots(coeffs) + 1.0) * (hi - lo)
     candidates = _cluster(gammas[gammas > 0.0])
-    if not candidates:      # the common case; spares an SVD call on nothing
+    if not candidates:      # the common case; spares a rank call on nothing
         return [], False, eigen_drops
+    return (_confirm(candidates, ~_full_rank(system, candidates), eigenvalues,
+                     eigen_drops), False, eigen_drops)
+
+
+def _confirm(candidates: list[float], drops: npt.NDArray[np.bool_],
+             eigenvalues: FloatArray, eigen_drops: npt.NDArray[np.bool_]
+             ) -> list[float]:
+    """The confirmed rank-dropping values among the clustered candidates.
+
+    ``drops`` says where the rank drops at each candidate, ``eigen_drops``
+    at each of the sorted ``eigenvalues``.  Candidates are taken in
+    order: one within ``SNAP_RTOL`` of its nearest eigenvalue, and not a
+    dropping match within ``MATCH_RTOL`` of it, reports that eigenvalue
+    if the rank drops there (once, skipping it when already confirmed);
+    any other candidate is reported if the rank drops at it.  Nearest
+    eigenvalues and both tests are array operations; only the candidates
+    that drop or snap are visited one by one.
+    """
+    snap = np.zeros(len(candidates), dtype=bool)
+    if len(eigenvalues):
+        g = np.array(candidates)
+        p = _nearest(eigenvalues, g)
+        e = eigenvalues[p]
+        gap = np.abs(g - e)
+        matched = drops & (gap <= MATCH_RTOL * (1.0 + e))
+        snap = (gap <= SNAP_RTOL * (1.0 + e)) & ~matched
     confirmed: list[float] = []
-    for g, drops in zip(candidates, _ranks(system, candidates) < n):
-        if len(eigenvalues):
-            p = np.argmin(np.abs(eigenvalues - g))
-            e = float(eigenvalues[p])
-            gap = abs(g - e)
-            matched = drops and gap <= MATCH_RTOL * (1.0 + e)
-            if gap <= SNAP_RTOL * (1.0 + e) and not matched:
-                if e in confirmed:
-                    continue
-                if eigen_drops[p]:
-                    confirmed.append(e)
-                    continue
-        if drops:
-            confirmed.append(g)
-    return confirmed, False, eigen_drops
+    for i in np.flatnonzero(drops | snap):
+        if snap[i]:
+            e_i = float(eigenvalues[p[i]])
+            if e_i in confirmed:
+                continue
+            if eigen_drops[p[i]]:
+                confirmed.append(e_i)
+                continue
+        if drops[i]:
+            confirmed.append(candidates[i])
+    return confirmed
 
 
 def kalman_certificate(system: CoupledSystem, model: SpectralModel) -> KalmanVerdict:

@@ -11,7 +11,7 @@ from nullctrl import (ControllabilityError, ModeState, ObservabilityError,
                       project_high, project_low, propagate, simulate_forward,
                       synthesize_control, torus_stokes_model)
 from nullctrl import hum
-from nullctrl.dynamics import expm_stack
+from nullctrl.dynamics import STEP_BOUND, expm_stack
 from nullctrl.hum import (_WindowCache, _gramian_matrix, _outer_integrals,
                           _window_integrals)
 from conftest import (config_file, controlled_window_oracle,
@@ -466,6 +466,54 @@ def test_simulate_forward_step_bound(interval10):
         simulate_forward(stiff, interval10, masks, y0, c, 100.0)
     with pytest.raises(PropagationStepError):
         assemble_gramian(stiff, interval10, masks, 100.0, 1.0)
+
+
+def test_step_checks_take_two_norms_only_near_the_bound(interval10,
+                                                         monkeypatch):
+    """Every step check passes a step whose Frobenius bound is within
+    STEP_BOUND without a 2-norm, and decides any other step on the
+    2-norms, with the same message: here |A|_F = 2 |A|_2 = 2 gamma."""
+    system = build_system(np.eye(4), np.zeros((4, 4)), np.ones((4, 1)))
+    masks = [full_domain_mask(interval10, 0)]
+    two_norm_calls = [0]
+    real_norm = np.linalg.norm
+
+    def counted(x, ord=None, *args, **kw):
+        two_norm_calls[0] += ord == 2
+        return real_norm(x, ord, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    flow_error = "dt*|gamma D + Q| = {:.3g} exceeds 1e+04; subdivide the step"
+    integral_error = "tau*(|A_j| + |A_k|) = {:.3g} exceeds 1e+04; shorten the window"
+    gamma, top = 100.0, [9]                    # the top mode of interval10
+    for share, exact in ((0.4, False), (0.6, True)):  # of STEP_BOUND, by 2-norm
+        dt = share * STEP_BOUND / gamma
+        for check in (
+                lambda: mode_propagators(system, np.array([1.0, gamma]), dt),
+                lambda: hum._checked_integrals(system, [gamma], [1.0, gamma],
+                                               dt / 2.0),
+                lambda: _WindowCache(system, interval10, masks,
+                                     gamma).propagators(dt, top),
+                lambda: _WindowCache(system, interval10, masks,
+                                     gamma).integrals(dt / 2.0, top, top),
+                lambda: _WindowCache(system, interval10, masks,
+                                     gamma).adjoint_flows(dt, [0.0], top)):
+            two_norm_calls[0] = 0
+            check()
+            assert (two_norm_calls[0] > 0) == exact
+    dt = 1.5 * STEP_BOUND / gamma
+    cache = _WindowCache(system, interval10, masks, gamma)
+    for check, message in (
+            (lambda: mode_propagators(system, np.array([gamma]), dt), flow_error),
+            (lambda: cache.propagators(dt, top), flow_error),
+            (lambda: cache.adjoint_flows(dt, [0.0], top), flow_error),
+            (lambda: hum._checked_integrals(system, [gamma], [gamma], dt / 2.0),
+             integral_error),
+            (lambda: cache.integrals(dt / 2.0, top, top), integral_error)):
+        with pytest.raises(PropagationStepError) as err:
+            check()
+        assert str(err.value) == message.format(1.5 * STEP_BOUND)
+    cache.propagators(dt, [0])                 # a mild mode still passes
 
 
 def _adjoint_initial_value(system, gammas, tau, datum):

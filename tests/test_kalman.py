@@ -4,10 +4,12 @@ from numpy.polynomial import chebyshev as C
 
 from nullctrl import (InvalidKernelError, ValidationError, build_system,
                       dirichlet_interval_model, invisible_adjoint_solution,
-                      kalman_certificate)
-from nullctrl.kalman import (_kalman_stack, _ranks, _real_roots, bad_set,
-                             build_Kp, kernel_vector, minor_polynomials,
-                             rank_at)
+                      kalman_certificate, torus_stokes_model)
+from nullctrl import kalman
+from nullctrl.kalman import (MATCH_RTOL, SNAP_RTOL, _cluster, _confirm,
+                             _full_rank, _full_rank_stack, _kalman_stack,
+                             _nearest, _ranks, _real_roots, bad_set, build_Kp,
+                             kernel_vector, minor_polynomials, rank_at)
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +90,199 @@ def test_kalman_stack_and_ranks_match_one_matrix_at_a_time(workloads):
     assert not _ranks(zero_input, gammas).any()
     with pytest.raises(ValidationError):
         _kalman_stack(zero_input, [1.0, 0.0])
+
+
+def _svd_full_rank(K):
+    """rank_at's rule on a raw stack: rank == n by one SVD per matrix."""
+    norms = np.linalg.norm(K, axis=-2, keepdims=True)
+    s = np.linalg.svd(K / np.where(norms == 0.0, 1.0, norms), compute_uv=False)
+    return (s > 1e-10 * s[:, :1]).sum(axis=-1) == K.shape[-2]
+
+
+def test_full_rank_screen_agrees_with_svd_on_certify_stacks(workloads,
+                                                            monkeypatch):
+    """Every stack the certificate ranks in the benchmark's certify ops
+    (samples with the spectrum, and the candidates) gets the SVD rule's
+    answer, while the SVD sees only the matrices the screen leaves: near
+    drops, and all of a structurally uncontrollable system's."""
+    stacks, svd_matrices = [], [0]
+    real_screen, real_svd = kalman._full_rank_stack, np.linalg.svd
+
+    def recorded(K):
+        stacks.append(K)
+        return real_screen(K)
+
+    def counted(a, *args, **kw):
+        svd_matrices[0] += int(np.prod(np.shape(a)[:-2]))
+        return real_svd(a, *args, **kw)
+
+    monkeypatch.setattr(kalman, "_full_rank_stack", recorded)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    for seed in (1, 2, 3):
+        for op in workloads.build_ops("certify", seed):
+            op.run()
+    monkeypatch.undo()
+    screened = sum(len(K) for K in stacks)
+    assert screened > 20000
+    assert svd_matrices[0] < 0.2 * screened
+    for K in stacks:
+        assert np.array_equal(_full_rank_stack(K), _svd_full_rank(K))
+
+
+def _designed_kalman(rng, n, copies, k):
+    """An (n, 2 (n-1) copies) matrix of unit columns with s_n / s_1 = 10^-k.
+
+    Columns ``cos(a) e_i +- sin(a) e_n`` (i < n) make ``K K^T`` diagonal
+    with ``s_n / s_1 = sqrt(n - 1) tan(a)``; a random rotation of the
+    rows keeps the singular values and the column norms.
+    """
+    t = 10.0 ** -k / np.sqrt(n - 1)
+    cols = np.zeros((n - 1, 2, copies, n))
+    cols[..., -1] = np.array([1.0, -1.0])[:, None] * t
+    cols[np.arange(n - 1), ..., np.arange(n - 1)] = 1.0
+    K = cols.reshape(-1, n).T / np.sqrt(1.0 + t * t)
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return (q * np.sign(np.diag(r))) @ K
+
+
+def test_full_rank_screen_agrees_with_svd_on_designed_conditioning(
+        scalar_system):
+    """Kalman-like matrices with s_n / s_1 = 10^-k, k = 1..13, with
+    scaled and zero columns, on typical and very wide shapes (where
+    ``det H`` alone would say nothing), an all-zero K and n = 1."""
+    rng = np.random.default_rng(5)
+    for n, copies in ((2, 1), (3, 2), (5, 1), (8, 125)):
+        for _ in range(3):
+            K = np.stack([_designed_kalman(rng, n, copies, k)
+                          for k in range(1, 14)])
+            expected = _svd_full_rank(K)
+            assert expected[:9].all() and not expected[-3:].any()
+            assert np.array_equal(_full_rank_stack(K), expected)
+            scaled = K * 10.0 ** rng.uniform(-3.0, 3.0, K.shape[-1])
+            scaled[..., ::3] = 0.0
+            assert np.array_equal(_full_rank_stack(scaled),
+                                  _svd_full_rank(scaled))
+    zero = np.zeros((4, 3, 6))
+    assert not _full_rank_stack(zero).any() and not _svd_full_rank(zero).any()
+    one_row = np.array([[[0.0, 2.0, -1e-300]], [[0.0, 0.0, 0.0]]])
+    assert _full_rank_stack(one_row).tolist() == [True, False]
+    gammas = dirichlet_interval_model(40, np.pi).eigenvalues
+    assert _full_rank(scalar_system, gammas).all()
+    assert np.array_equal(_full_rank(scalar_system, gammas),
+                          _ranks(scalar_system, gammas) == 1)
+    assert _full_rank(scalar_system, []).shape == (0,)
+
+
+def _cluster_loop(roots):
+    """The one-root-at-a-time clustering, the reference for _cluster."""
+    out = []
+    for r in np.sort(roots):
+        if out and abs(r - out[-1]) <= MATCH_RTOL * (1.0 + abs(out[-1])):
+            out[-1] = 0.5 * (out[-1] + r)
+        else:
+            out.append(float(r))
+    return out
+
+
+def _confirm_loop(candidates, drops, eigenvalues, eigen_drops):
+    """The one-candidate-at-a-time confirm pass, the reference for _confirm."""
+    confirmed = []
+    for g, drop in zip(candidates, drops):
+        if len(eigenvalues):
+            p = np.argmin(np.abs(eigenvalues - g))
+            e = float(eigenvalues[p])
+            gap = abs(g - e)
+            matched = drop and gap <= MATCH_RTOL * (1.0 + e)
+            if gap <= SNAP_RTOL * (1.0 + e) and not matched:
+                if e in confirmed:
+                    continue
+                if eigen_drops[p]:
+                    confirmed.append(e)
+                    continue
+        if drop:
+            confirmed.append(g)
+    return confirmed
+
+
+def _typed(values):
+    return [(type(v), float(v).hex()) for v in values]
+
+
+def test_cluster_matches_one_root_at_a_time():
+    rng = np.random.default_rng(8)
+    delta = MATCH_RTOL * (1.0 + 9.0)
+    runs = [
+        np.empty(0), np.array([4.0]), np.array([3.0, 3.0, 3.0]),
+        # chains where the running mean decides: each root is close to
+        # the previous one but not always to the cluster value
+        9.0 + delta * np.array([0.0, 0.9, 1.8, 2.7, 3.6, 4.5]),
+        9.0 + delta * np.array([0.0, 0.6, 1.2, 1.3, 2.2, 2.21, 3.5]),
+        np.array([-2.0, -2.0 + 1e-9, -1e-9, 0.0, 1e-9, 5.0]),
+    ]
+    for _ in range(200):
+        centers = rng.uniform(0.1, 60.0, rng.integers(1, 8))
+        sizes = rng.integers(1, 6, len(centers))
+        runs.append(np.concatenate([
+            c + np.cumsum(rng.uniform(0.2, 1.6, s)) * MATCH_RTOL * (1.0 + c)
+            for c, s in zip(centers, sizes)]))
+    for roots in runs:
+        assert _typed(_cluster(rng.permutation(roots))) == _typed(
+            _cluster_loop(roots))
+
+
+def test_nearest_matches_argmin():
+    rng = np.random.default_rng(2)
+    torus = torus_stokes_model(48).eigenvalues
+    for values in (torus, dirichlet_interval_model(40, np.pi).eigenvalues,
+                   np.array([7.0]), np.array([1.0, 2.0])):
+        points = np.concatenate([
+            values, 0.5 * (values[1:] + values[:-1]),
+            rng.uniform(0.0, 1.2 * values[-1] + 1.0, 300),
+            values[rng.integers(0, len(values), 50)] * (1.0 + 1e-4
+                                                        * rng.standard_normal(50)),
+            [values[0] - 1.0, values[-1] + 1.0, 1e20, np.inf]])
+        expected = [np.argmin(np.abs(values - x)) for x in points]
+        assert _nearest(values, points).tolist() == expected
+    # exactly midway between two eigenvalues: the lower one, as argmin
+    assert _nearest(np.array([8.0, 8.0 + 2.0 ** -10]),
+                    np.array([8.0 + 2.0 ** -11])).tolist() == [0]
+
+
+def test_confirm_matches_one_candidate_at_a_time():
+    rng = np.random.default_rng(4)
+    torus = torus_stokes_model(48).eigenvalues
+    interval = dirichlet_interval_model(40, np.pi).eigenvalues
+    close = [8.0, 8.0 + 2.0 ** -10]
+    cases = [
+        # midway between two close eigenvalues, only the upper one drops
+        ([8.0 + 2.0 ** -11], [False], np.array(close), [False, True]),
+        ([8.0 + 2.0 ** -11], [True], np.array(close), [False, True]),
+        # a dropping exact match first, then a snap to that same value
+        ([4.0, 4.0 + 1e-6, 4.0 + 2e-6], [True, False, True], interval[:5],
+         [False, False, False, True, False]),
+        # a snap confirms the eigenvalue, a later snap to it is skipped
+        ([1.0 + 1e-5, 1.0 + 3e-5], [False, True], interval[:3],
+         [True, False, False]),
+    ]
+    for _ in range(300):
+        values = torus if rng.random() < 0.5 else interval
+        picks = values[rng.integers(0, len(values), rng.integers(1, 30))]
+        offsets = rng.choice([0.0, 1e-9, 1e-6, 5e-4, 2e-3, 0.3], len(picks))
+        signs = rng.choice([-1.0, 1.0], len(picks))
+        candidates = _cluster(picks * (1.0 + signs * offsets))
+        cases.append((candidates, rng.random(len(candidates)) < 0.4, values,
+                      rng.random(len(values)) < 0.3))
+    for candidates, drops, values, eigen_drops in cases:
+        drops, eigen_drops = np.array(drops), np.array(eigen_drops)
+        assert _typed(_confirm(candidates, drops, values, eigen_drops)) == \
+            _typed(_confirm_loop(candidates, drops, values, eigen_drops))
+        # without a spectrum (bad_set) every dropping candidate is kept
+        no_spectrum = _confirm(candidates, drops, np.empty(0),
+                               np.empty(0, dtype=bool))
+        assert _typed(no_spectrum) == _typed(_confirm_loop(
+            candidates, drops, np.empty(0), np.empty(0, dtype=bool)))
+        assert _typed(no_spectrum) == _typed(
+            [g for g, d in zip(candidates, drops) if d])
 
 
 def _row_real_roots(c):
@@ -284,20 +479,26 @@ def test_certificate_finds_planted_crossings(workloads, n, m):
 def test_certificate_makes_few_batched_linalg_calls(workloads, monkeypatch):
     """Ranks and roots are taken on stacks: a few SVD calls (the samples
     with the spectrum, the candidate roots, a failing verdict's kernel
-    vector) and one eigvals call per trimmed minor degree."""
+    vector) and one eigvals call per trimmed minor degree.  The
+    determinant screen clears a random system's Kalman matrices, so
+    hardly any of them reaches the SVD."""
     model = dirichlet_interval_model(workloads.CERTIFY_MODES)
     rng = np.random.default_rng(0)
     s = build_system(*workloads.certify_system(rng, 4, 3, "random",
                                                model.eigenvalues)[:3])
     counts = {"svd": 0, "eigvals": 0}
+    svd_matrices = [0]
     for name in counts:
         def counted(*args, _name=name, _real=getattr(np.linalg, name), **kw):
             counts[_name] += 1
+            if _name == "svd":
+                svd_matrices[0] += int(np.prod(np.shape(args[0])[:-2]))
             return _real(*args, **kw)
         monkeypatch.setattr(np.linalg, name, counted)
     kalman_certificate(s, model)
     assert counts["svd"] <= 4
     assert counts["eigvals"] <= s.n * (s.n - 1)
+    assert svd_matrices[0] <= 10
 
 
 def test_certificate_degenerate(rank_one_pair, interval10):
