@@ -13,7 +13,7 @@ solver tolerance, which is measured, not assumed.
 
 A :class:`Gramian` owns its window: the mode set, the subdomain masks
 it observed through, their mass matrices and the Gauss grid on which
-controls are sampled for output.  Synthesis rejects a Gramian whose
+controls are sampled, only when read.  Synthesis rejects a Gramian whose
 masks are not the caller's.  Every control is built by one routine from
 its adjoint datum, and every control norm or inner product is the
 Gramian product ``z_u^T G z_v``, so a synthesized control and the one
@@ -23,6 +23,7 @@ rebuilt from its datum agree bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 import numpy.typing as npt
@@ -48,16 +49,19 @@ def gauss_rule(a: float, b: float, npts: int) -> tuple[FloatArray, FloatArray]:
     return mid + half * x, half * w
 
 
+@lru_cache(maxsize=64)
+def _triu_indices(K: int) -> tuple[npt.NDArray[np.intp], npt.NDArray[np.intp]]:
+    """Read-only ``np.triu_indices(K)``, computed once per size."""
+    return tuple(_frozen(i, np.intp) for i in np.triu_indices(K))
+
+
 def _adjoint_flows(system: CoupledSystem, gammas: FloatArray, tau: float,
                    times: FloatArray) -> FloatArray:
     """Adjoint flows ``E_k(t) = expm(-(gamma_k D + Q)^T (tau - t))`` at
     window times, shape (T, K, n, n)."""
-    return mode_propagators(system, gammas, _gaps(tau, times), adjoint=True)
-
-
-def _gaps(tau: float, times: FloatArray) -> FloatArray:
     # times may overshoot tau by the roundoff beta_at tolerates
-    return np.maximum(tau - np.asarray(times, dtype=float), 0.0)
+    gaps = np.maximum(tau - np.asarray(times, dtype=float), 0.0)
+    return mode_propagators(system, gammas, gaps, adjoint=True)
 
 
 def _beta(system: CoupledSystem, flows: FloatArray, Z: FloatArray) -> FloatArray:
@@ -168,10 +172,10 @@ class _WindowCache:
     attempt, and nothing here depends on the state, so each quantity is
     computed once per run: for each window length ``tau`` one dense
     table of the forcing integrals ``X`` over every pair of distinct
-    simulated eigenvalues, the free propagators of the distinct
-    eigenvalues and their adjoint flows at a sampling grid; for each
-    mode set its channel masses; once per run the channel masses on the
-    simulated modes and the generator norms of the step checks.  A
+    simulated eigenvalues and the free propagators of the distinct
+    eigenvalues; for each mode set its channel masses; once per run the
+    channel masses on the simulated modes and the generator norms of the
+    step checks.  A
     mode reads the entries of its eigenvalue's slot, through a mode to
     slot map built once.  Every entry is computed directly, as the
     uncached path computes it (no table entry is the transpose of
@@ -193,9 +197,7 @@ class _WindowCache:
         self._slot = np.full(model.num_modes + 2, -1, dtype=np.intp)
         self._slot[self.sim_idx + 1] = slots
         self._mats = system.mode_matrices(self._values)
-        self._adj_mats = system.mode_matrices(self._values, adjoint=True)
         self._norms = _StepNorms(self._mats)
-        self._adj_norms = _StepNorms(self._adj_mats)
         self._entries: dict[tuple, object] = {}
 
     def _get(self, key: tuple, build):
@@ -262,17 +264,6 @@ class _WindowCache:
             self._mats, np.asarray(tau, dtype=float)))
         return table[slots]
 
-    def adjoint_flows(self, tau: float, times: FloatArray, modes: npt.ArrayLike
-                      ) -> FloatArray:
-        """:func:`_adjoint_flows` of ``gammas(modes)``."""
-        slots = self._slots(modes)
-        gaps = _gaps(tau, times)
-        _check_step(float(gaps.max(initial=0.0)), [(self._adj_norms, slots)],
-                    _FLOW_STEP)
-        table = self._get(("flows", gaps.tobytes()),
-                          lambda: _flows(self._adj_mats, gaps))
-        return table[:, slots]
-
 
 def _gramian_matrix(system: CoupledSystem, gammas: FloatArray,
                     masses: tuple[FloatArray, ...], tau: float,
@@ -284,7 +275,7 @@ def _gramian_matrix(system: CoupledSystem, gammas: FloatArray,
     once per distinct pair ``(gamma_k, gamma_l)``.
     """
     K, n = len(gammas), system.n
-    rows, cols = np.triu_indices(K)
+    rows, cols = _triu_indices(K)
     if upper is None:
         upper = _pair_integrals(system, gammas, rows, cols, tau)
     # X[l, k, i] = X[k, l, i]^T
@@ -308,8 +299,8 @@ class Gramian:
     with eigenvalue <= ``gamma_cut``), flattened mode-major.  Its
     smallest eigenvalue is the squared observability constant of the
     truncated system and is cached at construction.  ``nodes`` is the
-    Gauss grid of ``[0, tau]`` on which controls are sampled for output;
-    the matrix itself is exact and does not depend on it.
+    Gauss grid of ``[0, tau]`` on which its controls are sampled when
+    read; the matrix itself is exact and does not depend on it.
 
     ``masks`` are the per-channel subdomains the adjoint flow was
     observed through and ``masses`` their (K, K) mass matrices on
@@ -373,7 +364,7 @@ def assemble_gramian(system: CoupledSystem, model: SpectralModel,
         masses, upper = _window_masses(model, masks, idx), None
     else:
         cache.check(system, model, masks)
-        rows, cols = np.triu_indices(len(idx))
+        rows, cols = _triu_indices(len(idx))
         masses, upper = cache.masses(idx), cache.integrals(tau, idx[rows], idx[cols])
 
     G = _gramian_matrix(system, gammas, masses, tau, upper)
@@ -396,9 +387,15 @@ class ControlTrajectory:
 
     The control in channel ``j`` is the subdomain-masked eigenfunction
     packet ``v_j(t, x) = sum_k beta[t, j, k] * phi_k(x)`` on ``omega_j``.
-    ``coefficients`` stores beta on the Gramian's sampling grid;
-    :meth:`beta_at` evaluates it exactly at arbitrary times from the
-    adjoint datum, so nothing is ever interpolated.
+    ``nodes`` and ``coefficients`` sample beta on ``grid``, the relative
+    Gauss grid the control was built on; they are computed from the
+    adjoint datum on first read and kept, so an unread control costs no
+    adjoint flow.  A read raises no step error that building did not:
+    the flows step by ``max(tau - grid) < tau`` with ``|A_k^T| = |A_k|``,
+    a bound the forward step check ``tau |A_k|`` of the same modes in
+    :func:`synthesize_control` (and the window integrals' in
+    :func:`control_from_datum`) has passed.  :meth:`beta_at` evaluates
+    beta exactly at arbitrary times, so nothing is ever interpolated.
     """
 
     system: CoupledSystem
@@ -408,13 +405,24 @@ class ControlTrajectory:
     mode_indices: npt.NDArray[np.int64]
     eigenvalues: FloatArray
     datum: FloatArray          # (K, n) optimal adjoint datum z-hat
-    nodes: FloatArray          # absolute times, shape (T,)
-    coefficients: FloatArray   # (T, m, K)
+    grid: FloatArray           # times relative to t0, shape (T,)
     norm_sq: float
 
     @property
     def t1(self) -> float:
         return self.t0 + self.tau
+
+    @cached_property
+    def nodes(self) -> FloatArray:
+        """Absolute sampling times, shape (T,)."""
+        return _frozen(self.t0 + self.grid)
+
+    @cached_property
+    def coefficients(self) -> FloatArray:
+        """beta at ``nodes``, shape (T, m, K)."""
+        flows = _adjoint_flows(self.system, self.eigenvalues, self.tau,
+                               self.grid)
+        return _frozen(_beta(self.system, flows, self.datum))
 
     def beta_at(self, t) -> FloatArray:
         """Control coefficients at time(s) t: shape (m, K) or (T, m, K)."""
@@ -446,7 +454,7 @@ def synthesize_control(system: CoupledSystem, model: SpectralModel,
     ``d = diag(G)^-1/2``, with relative spectral cutoff 1e-12, then
     iterative refinement (at most 8 passes, continued while each pass at
     least halves the residual ``|G z + b|`` of the unscaled system).  The
-    control ``beta = R^T z(t)`` is sampled on the Gramian's grid.  A
+    control ``beta = R^T z(t)`` is sampled on the Gramian's grid on read.  A
     supplied ``gramian`` must have been assembled for the same
     ``(gamma_cut, tau)`` and on ``masks``.
 
@@ -546,28 +554,21 @@ def synthesize_control(system: CoupledSystem, model: SpectralModel,
                 f"{RUN_RTOL:.0e} * |y0|) = {target:.3e}"
             )
 
-    if cache is None:
-        flows = _adjoint_flows(system, gramian.eigenvalues, tau, gramian.nodes)
-    else:
-        flows = cache.adjoint_flows(tau, gramian.nodes, idx)
     return _control_on_grid(system, zhat.reshape(K, n), gamma_cut, tau, t0,
                             idx, gramian.eigenvalues, gramian.matrix,
-                            gramian.nodes, flows)
+                            gramian.nodes)
 
 
 def _control_on_grid(system: CoupledSystem, datum: FloatArray,
                      gamma_cut: float, tau: float, t0: float,
                      mode_indices: npt.NDArray[np.int64], gammas: FloatArray,
-                     gram: FloatArray, nodes: FloatArray,
-                     flows: FloatArray) -> ControlTrajectory:
-    """The control of adjoint datum ``datum`` on a window's mode set,
-    sampled at ``nodes`` in [0, tau] where the adjoint flows are
-    ``flows``; ``gram`` is the window's Gramian."""
+                     gram: FloatArray, grid: FloatArray) -> ControlTrajectory:
+    """The control of adjoint datum ``datum`` on a window's mode set, to
+    be sampled at ``grid`` in [0, tau]; ``gram`` is the window's Gramian."""
     return ControlTrajectory(
         system=system, t0=float(t0), tau=float(tau), gamma_cut=float(gamma_cut),
         mode_indices=_frozen(mode_indices, np.int64), eigenvalues=_frozen(gammas),
-        datum=_frozen(datum), nodes=_frozen(t0 + nodes),
-        coefficients=_frozen(_beta(system, flows, datum)),
+        datum=_frozen(datum), grid=_frozen(grid),
         norm_sq=_gram_product(gram, datum, datum),
     )
 
@@ -592,9 +593,8 @@ def control_from_datum(system: CoupledSystem, model: SpectralModel,
         )
     gammas = model.eigenvalues[idx]
     G = _gramian_matrix(system, gammas, _window_masses(model, masks, idx), tau)
-    nodes = gauss_rule(0.0, tau, quad_nodes)[0]
     return _control_on_grid(system, Z, gamma_cut, tau, t0, idx, gammas, G,
-                            nodes, _adjoint_flows(system, gammas, tau, nodes))
+                            gauss_rule(0.0, tau, quad_nodes)[0])
 
 
 def control_inner_product(model: SpectralModel, masks: list[SubdomainMask],

@@ -224,7 +224,7 @@ def _merge_run(run: np.ndarray) -> list[float]:
     out: list[float] = []
     for r in run:
         if out and abs(r - out[-1]) <= MATCH_RTOL * (1.0 + abs(out[-1])):
-            out[-1] = 0.5 * (out[-1] + r)
+            out[-1] = float(0.5 * (out[-1] + r))
         else:
             out.append(float(r))
     return out

@@ -48,6 +48,19 @@ def taylor_expm(M: np.ndarray, terms: int = 60) -> np.ndarray:
     return out
 
 
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Wrap ``module.name`` so that each call appends its positional
+    arguments to the returned list."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def dense_time_quadrature(f, a: float, b: float, npts: int = 400) -> np.ndarray:
     """Integrate a matrix/array valued function with one dense Gauss rule."""
     x, w = np.polynomial.legendre.leggauss(npts)

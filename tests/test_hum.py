@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import expm, solve_sylvester
@@ -14,7 +16,7 @@ from nullctrl import hum
 from nullctrl.dynamics import STEP_BOUND, expm_stack
 from nullctrl.hum import (_WindowCache, _gramian_matrix, _outer_integrals,
                           _window_integrals)
-from conftest import (config_file, controlled_window_oracle,
+from conftest import (config_file, controlled_window_oracle, count_calls,
                       dense_time_quadrature)
 
 
@@ -198,6 +200,70 @@ def test_control_from_datum_reproduces_synthesized_control(
                                                    g.mode_indices))
 
 
+def test_oneshot_op_samples_its_control_only_when_read(workloads, monkeypatch):
+    calls = count_calls(monkeypatch, hum, "_adjoint_flows")
+    op = workloads.build_ops("oneshot", 1, "tiny")[0]
+    gram, ctl = op.run()
+    assert op.check((gram, ctl)) is None
+    assert calls == []
+    assert ctl.coefficients.shape == (len(gram.nodes), 1,
+                                      len(gram.mode_indices))
+    assert len(calls) == 1
+
+
+def test_first_read_samples_the_control_on_the_gramian_grid(
+        case3_system, interval10, narrow_mask10, monkeypatch):
+    rng = np.random.default_rng(11)
+    y0 = project_low(full_state(interval10, rng.standard_normal((10, 2))), 25.0)
+    g = assemble_gramian(case3_system, interval10, narrow_mask10, 25.0, 0.5)
+    c = synthesize_control(case3_system, interval10, narrow_mask10, y0,
+                           25.0, 0.5, t0=0.25, gramian=g)
+    d = control_from_datum(case3_system, interval10, narrow_mask10, c.datum,
+                           25.0, 0.5, t0=0.25, quad_nodes=len(g.nodes))
+    calls = count_calls(monkeypatch, hum, "_adjoint_flows")
+    beta, nodes = c.coefficients, c.nodes
+    assert np.array_equal(beta, d.coefficients)
+    assert np.array_equal(nodes, d.nodes)
+    # the expression the control was sampled with before it became lazy
+    flows = mode_propagators(case3_system, g.eigenvalues,
+                             np.maximum(0.5 - g.nodes, 0.0), adjoint=True)
+    assert np.array_equal(beta, hum._beta(case3_system, flows, c.datum))
+    assert np.array_equal(nodes, 0.25 + g.nodes)
+    assert c.coefficients is beta and c.nodes is nodes
+    assert len(calls) == 2                # one per control, none on a reread
+    assert not beta.flags.writeable and not nodes.flags.writeable
+
+
+def test_too_long_window_raises_in_synthesis_not_on_read(case3_system,
+                                                         interval10,
+                                                         narrow_mask10):
+    # the forward propagators' step check bounds the adjoint flows' one,
+    # so no step error waits for the first read of the samples
+    gamma = 100.0                              # the top mode of interval10
+    top = np.linalg.norm(case3_system.mode_matrices(np.array([gamma]))[0], 2)
+    edge = STEP_BOUND / top
+    zero = project_low(full_state(interval10, np.zeros((10, 2))), gamma)
+    with pytest.raises(PropagationStepError):
+        synthesize_control(case3_system, interval10, narrow_mask10, zero,
+                           gamma, 1.01 * edge)
+    # a Gramian relabelled for a longer window leaves the forward check
+    # as the only guard between synthesis and the lazy read
+    g = assemble_gramian(case3_system, interval10, narrow_mask10, gamma,
+                         0.4 * edge)
+    for tau, raises in ((1.01 * edge, True), (0.99 * edge, False)):
+        long = dataclasses.replace(g, tau=tau,
+                                   nodes=hum.gauss_rule(0.0, tau, 32)[0])
+        if raises:
+            with pytest.raises(PropagationStepError,
+                               match="subdivide the step"):
+                synthesize_control(case3_system, interval10, narrow_mask10,
+                                   zero, gamma, tau, gramian=long)
+        else:
+            c = synthesize_control(case3_system, interval10, narrow_mask10,
+                                   zero, gamma, tau, gramian=long)
+            assert np.abs(c.coefficients).max() == 0.0
+
+
 def test_gramian_on_other_masks_rejected(case3_system, interval10,
                                          narrow_mask10):
     # a Gramian observed through the whole domain yields a control that
@@ -342,8 +408,6 @@ def test_window_cache_rejects_modes_outside_the_simulated_set(
             cache.propagators(0.5, np.array(outside))
         with pytest.raises(ValidationError):
             cache.integrals(0.5, inside[:, None], np.array(outside)[None])
-        with pytest.raises(ValidationError):
-            cache.adjoint_flows(0.5, np.array([0.0, 0.25]), np.array(outside))
 
 
 def _torus(num_modes):
@@ -495,9 +559,7 @@ def test_step_checks_take_two_norms_only_near_the_bound(interval10,
                 lambda: _WindowCache(system, interval10, masks,
                                      gamma).propagators(dt, top),
                 lambda: _WindowCache(system, interval10, masks,
-                                     gamma).integrals(dt / 2.0, top, top),
-                lambda: _WindowCache(system, interval10, masks,
-                                     gamma).adjoint_flows(dt, [0.0], top)):
+                                     gamma).integrals(dt / 2.0, top, top)):
             two_norm_calls[0] = 0
             check()
             assert (two_norm_calls[0] > 0) == exact
@@ -506,7 +568,6 @@ def test_step_checks_take_two_norms_only_near_the_bound(interval10,
     for check, message in (
             (lambda: mode_propagators(system, np.array([gamma]), dt), flow_error),
             (lambda: cache.propagators(dt, top), flow_error),
-            (lambda: cache.adjoint_flows(dt, [0.0], top), flow_error),
             (lambda: hum._checked_integrals(system, [gamma], [gamma], dt / 2.0),
              integral_error),
             (lambda: cache.integrals(dt / 2.0, top, top), integral_error)):

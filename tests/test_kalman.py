@@ -178,7 +178,7 @@ def _cluster_loop(roots):
     out = []
     for r in np.sort(roots):
         if out and abs(r - out[-1]) <= MATCH_RTOL * (1.0 + abs(out[-1])):
-            out[-1] = 0.5 * (out[-1] + r)
+            out[-1] = float(0.5 * (out[-1] + r))
         else:
             out.append(float(r))
     return out
@@ -448,6 +448,18 @@ def test_certificate_controllable_when_root_misses_spectrum(bad_root_system):
     v = kalman_certificate(bad_root_system, model)
     assert v.controllable
     assert v.bad_gammas[0] == pytest.approx(1.0, abs=1e-8)
+
+
+def test_certificate_reports_merged_roots_as_floats(interval10):
+    # two equal channels: several minors share the root 2.5, and their
+    # fitted copies merge into one cluster value
+    s = build_system(D=np.diag([1.0, 2.0]), Q=[[0.0, 2.5], [0.0, 0.0]],
+                     R=[[1.0, 1.0], [1.0, 1.0]])
+    for model in (interval10, dirichlet_interval_model(10, 1.0)):
+        v = kalman_certificate(s, model)
+        assert v.bad_gammas[0] == pytest.approx(2.5, rel=1e-10)
+        assert all(type(g) is float for g in v.bad_gammas)
+    assert all(type(g) is float for g in bad_set(s, 1.0)[0])
 
 
 @pytest.mark.parametrize("n, m", [(3, 2), (4, 2), (5, 2), (5, 1)],

@@ -11,7 +11,7 @@ from nullctrl import hum
 from nullctrl.dynamics import embed, project_low, single_mode_state
 from scipy.linalg import expm
 
-from conftest import config_file, controlled_window_oracle
+from conftest import config_file, controlled_window_oracle, count_calls
 
 
 def test_schedule_dyadic_layout():
@@ -275,6 +275,17 @@ def test_cached_run_replays_bitwise_through_uncached_calls(case3_eighth):
         assert state.norm() == rec.norm_end
     assert next(controls, None) is None
     assert state.norm() == res.terminal_norm
+
+
+def test_run_samples_no_control_until_one_is_read(case3_eighth, monkeypatch):
+    cfg, y0, T = case3_eighth
+    calls = count_calls(monkeypatch, hum, "_adjoint_flows")
+    res = run_lr(cfg.system, cfg.model, list(cfg.masks), y0, T)
+    assert res.doublings >= 2 and res.controls
+    assert calls == []
+    beta = res.controls[0].coefficients
+    assert res.controls[0].coefficients is beta
+    assert len(calls) == 1
 
 
 def test_run_integrates_each_window_length_once(case3_eighth, monkeypatch):

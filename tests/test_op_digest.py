@@ -37,29 +37,46 @@ def _flip_last_bit(x: float) -> float:
     return struct.unpack("<d", struct.pack("<q", bits ^ 1))[0]
 
 
+def _digest(tool, out) -> str:
+    h = tool.hashlib.sha256()
+    tool.encode(out, h)
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("workload", ["dyadic", "oneshot", "certify"])
 def test_digest_encodes_tiny_ops_deterministically(op_digest, workloads,
                                                    workload):
     for op in workloads.build_ops(workload, 1, "tiny"):
-        first = op_digest.op_digest(op).hexdigest()      # no TypeError
-        assert op_digest.op_digest(op).hexdigest() == first, op.name
+        first = op_digest.run_op(op)[0].hexdigest()      # no TypeError
+        assert op_digest.run_op(op)[0].hexdigest() == first, op.name
 
 
 def test_digest_sees_one_flipped_float_bit(op_digest, workloads):
     op = workloads.build_ops("certify", 1, "tiny")[0]
     verdict, invisible, report = op.run()
-
-    def digest(out):
-        h = op_digest.hashlib.sha256()
-        op_digest.encode(out, h)
-        return h.hexdigest()
-
     flipped = dataclasses.replace(report,
                                   max_ratio=_flip_last_bit(report.max_ratio))
     assert flipped.max_ratio != report.max_ratio
-    assert digest((verdict, invisible, flipped)) != digest((verdict, invisible,
-                                                            report))
+    assert (_digest(op_digest, (verdict, invisible, flipped))
+            != _digest(op_digest, (verdict, invisible, report)))
     values = op_digest.np.array([report.max_ratio, report.bound])
     bumped = values.copy()
     bumped[1] = _flip_last_bit(bumped[1])
-    assert digest(bumped) != digest(values)
+    assert _digest(op_digest, bumped) != _digest(op_digest, values)
+
+
+def test_digest_encodes_lazily_sampled_control_outputs(op_digest, workloads):
+    gram, ctl = workloads.build_ops("oneshot", 1, "tiny")[0].run()
+    unread = dataclasses.replace(ctl)     # samples not computed yet
+    assert "coefficients" not in vars(unread)
+    first = _digest(op_digest, unread)
+    assert "coefficients" in vars(unread)  # sampled by the encoder
+    assert _digest(op_digest, ctl) == first
+    flipped = dataclasses.replace(ctl)
+    beta = flipped.coefficients.copy()
+    beta.flat[-1] = _flip_last_bit(beta.flat[-1])
+    vars(flipped)["coefficients"] = beta
+    assert _digest(op_digest, flipped) != first
+    shifted = dataclasses.replace(ctl)
+    vars(shifted)["nodes"] = shifted.nodes + 0.5
+    assert _digest(op_digest, shifted) != first

@@ -10,7 +10,14 @@ printed.  An output is encoded field by field: dataclasses by class and
 field name, floats as ``float.hex``, arrays as dtype, shape and raw
 bytes; an op that raises contributes its exception type and message.
 Two checkouts print the same digest only if every op returns the same
-bits or fails the same way.
+bits or fails the same way.  A control's sampled ``nodes`` and
+``coefficients`` are encoded by name whether they are dataclass fields
+or computed on first read (see ``SAMPLED``).
+
+Next to each digest the tool prints, per seed, how many of the batch's
+ops failed (raised, or returned an output their check rejects) out of
+those attempted: the failed share ``perfbench/run.py`` reports for one
+batch.
 
 The ops, their inputs and the nullctrl import (this checkout's ``src``)
 come from ``perfbench``; BLAS is pinned to one thread as there.
@@ -33,6 +40,13 @@ import hashlib  # noqa: E402
 import numpy as np  # noqa: E402
 
 
+# per class: outputs sampled on a grid, encoded by name after the other
+# fields whether they are fields or lazy attributes, and the fields they
+# are sampled from, left out; a checkout that stores the samples and one
+# that computes them on first read then hash alike
+SAMPLED = {"ControlTrajectory": (("nodes", "coefficients"), ("grid",))}
+
+
 def parse_seeds(text: str) -> list[int]:
     """``"1-8"`` or ``"1,2,7"`` (or a mix) as a list of seeds."""
     seeds = []
@@ -49,11 +63,14 @@ def encode(value, h) -> None:
         h.update(payload)
 
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        fields = dataclasses.fields(value)
-        token("dataclass", f"{type(value).__qualname__}/{len(fields)}".encode())
-        for field in fields:
-            token("field", field.name.encode())
-            encode(getattr(value, field.name), h)
+        cls = type(value).__qualname__
+        sampled, sources = SAMPLED.get(cls, ((), ()))
+        names = [f.name for f in dataclasses.fields(value)
+                 if f.name not in sampled + sources] + list(sampled)
+        token("dataclass", f"{cls}/{len(names)}".encode())
+        for name in names:
+            token("field", name.encode())
+            encode(getattr(value, name), h)
     elif isinstance(value, np.ndarray):
         token("array", f"{value.dtype.str}{value.shape}".encode())
         token("bytes", np.ascontiguousarray(value).tobytes())
@@ -71,15 +88,16 @@ def encode(value, h) -> None:
         raise TypeError(f"no encoding for {type(value).__name__}")
 
 
-def op_digest(op) -> "hashlib._Hash":
+def run_op(op) -> tuple["hashlib._Hash", bool]:
+    """The digest of one run of ``op`` and whether the op failed."""
     h = hashlib.sha256()
     try:
         out = op.run()
     except Exception as exc:  # a raised error is an outcome to compare
         encode(("raised", type(exc).__name__, str(exc)), h)
-    else:
-        encode(("returned", out), h)
-    return h
+        return h, True
+    encode(("returned", out), h)
+    return h, op.check(out) is not None
 
 
 def main(argv=None) -> int:
@@ -92,14 +110,19 @@ def main(argv=None) -> int:
     import workloads
 
     for name in bench.WORKLOADS:
-        total, count = hashlib.sha256(), 0
+        total, count, failed = hashlib.sha256(), 0, []
         for seed in args.seeds:
-            for op in workloads.build_ops(name, seed):
-                total.update(op_digest(op).hexdigest().encode())
-                count += 1
+            ops = workloads.build_ops(name, seed)
+            misses = 0
+            for op in ops:
+                h, miss = run_op(op)
+                total.update(h.hexdigest().encode())
+                misses += miss
+            count += len(ops)
+            failed.append(f"{seed}: {misses}/{len(ops)}")
         seeds = ",".join(map(str, args.seeds))
-        print(f"{name} seeds {seeds} ({count} ops): {total.hexdigest()[:16]}",
-              flush=True)
+        print(f"{name} seeds {seeds} ({count} ops): {total.hexdigest()[:16]}; "
+              f"failed/attempted by seed: {', '.join(failed)}", flush=True)
     return 0
 
 
