@@ -10,9 +10,10 @@ matrix
 has full row rank.  Each n x n minor of ``K`` is a polynomial in
 ``gamma`` of degree at most n(n-1), so the set of eigenvalues at which
 the rank drops is either everything (structurally uncontrollable) or
-the real-root set of a single polynomial.  That finite set is what the
-certificate computes; the system is controllable over a given spectral
-model precisely when no model eigenvalue hits it.
+contained in the real-root set of any one minor that does not vanish
+identically.  The certificate takes its candidates from one such minor
+and confirms them; the system is controllable over a given spectral
+model precisely when no model eigenvalue is a rank drop.
 """
 
 from __future__ import annotations
@@ -80,32 +81,43 @@ def _ranks(system: CoupledSystem, gammas: npt.ArrayLike) -> npt.NDArray[np.intp]
 
 def _full_rank_stack(K: FloatArray) -> npt.NDArray[np.bool_]:
     """``rank == n`` for every Kalman matrix of a (G, n, n*m) stack, by the
-    rule of :func:`_ranks`, with an SVD only where a determinant screen
-    cannot decide.
+    rule of :func:`_ranks`, with an SVD only where two screens cannot
+    decide.
 
     Let ``K^`` be the column-normalized matrix, ``s_1 >= ... >= s_n`` its
     singular values and ``H = K^ K^T``, whose eigenvalues are the
     ``s_i^2``.  Then ``det H = prod s_i^2 <= s_n^2 s_1^(2(n-1))`` and
     ``tr H = sum s_i^2 >= s_1^2``, so
 
-        (s_n / s_1)^2 >= det H / tr(H)^n.
+        (s_n / s_1)^2 >= det H / tr(H)^n  and  (s_n / s_1)^2 >= s_n^2 / tr H.
 
-    The screen clears a matrix when ``det H > _SCREEN_THETA * tr(H)^n``,
-    so a cleared matrix has ``s_n / s_1 > 1e-4``, six orders of
-    magnitude above ``RANK_RTOL``.  That margin dwarfs the roundoff:
-    forming ``H`` and its determinant (a Gram product of unit columns
-    and a backward stable LU) moves the eigenvalues of ``H`` by a small
-    multiple of ``eps * tr H``, against the ``1e-8 * tr H`` the screen
-    demands of the least one, and the SVD finds ``s_n`` to within about
-    ``eps * s_1``.  So the SVD rule calls every cleared matrix full
-    rank too.  The rest (a zero ``H``, a rank drop, a nearly dependent
-    set) go to that rule, on the same normalized matrices.
+    The determinant screen clears a matrix when
+    ``det H > _SCREEN_THETA * tr(H)^n``.  That bound is loose when the
+    singular values are graded, as the blocks of successive powers of
+    ``A`` often make them, so the matrices it leaves go through a
+    second screen, which clears one when the least eigenvalue of ``H``
+    (``eigvalsh``, a few times cheaper than the SVD) exceeds
+    ``_SCREEN_THETA * tr H``.  Either way a cleared matrix has
+    ``s_n / s_1 > 1e-4``, six orders of magnitude above ``RANK_RTOL``.
+    That margin dwarfs the roundoff: forming ``H`` (a Gram product of
+    unit columns), its determinant (a backward stable LU) and its
+    eigenvalues (a backward stable symmetric solver) moves the
+    eigenvalues of ``H`` by a small multiple of ``eps * tr H``, against
+    the ``1e-8 * tr H`` the screens demand of the least one, and the SVD
+    finds ``s_n`` to within about ``eps * s_1``.  So the SVD rule calls
+    every cleared matrix full rank too.  The rest (a zero ``H``, a rank
+    drop, a nearly dependent set) go to that rule, on the same
+    normalized matrices.
     """
     n = K.shape[-2]
     K_hat = _column_normalized(K)
     H = K_hat @ np.swapaxes(K_hat, -1, -2)
-    full = np.linalg.det(H) > _SCREEN_THETA * np.trace(H, axis1=-2, axis2=-1) ** n
+    tr = np.trace(H, axis1=-2, axis2=-1)
+    full = np.linalg.det(H) > _SCREEN_THETA * tr ** n
     rest = np.flatnonzero(~full)
+    if rest.size:
+        full[rest] = np.linalg.eigvalsh(H[rest])[:, 0] > _SCREEN_THETA * tr[rest]
+        rest = rest[~full[rest]]
     if rest.size:
         full[rest] = _svd_ranks(K_hat[rest]) == n
     return full
@@ -153,25 +165,32 @@ def minor_polynomials(system: CoupledSystem, gamma_lo: float) -> tuple[FloatArra
     ``(n_minors, deg+1)`` coefficient array in the Chebyshev basis of
     that interval.
     """
-    samples, _, coeffs = _minor_fit(system, gamma_lo)
-    return samples, coeffs
-
-
-def _minor_fit(system: CoupledSystem, gamma_lo: float
-               ) -> tuple[FloatArray, FloatArray, FloatArray]:
-    """:func:`minor_polynomials`, plus the Kalman stack of the samples."""
-    if not gamma_lo > 0.0:
-        raise ValidationError(f"gamma_lo must be positive, got {gamma_lo}")
-    n = system.n
-    deg = n * (n - 1)
-    lo, hi = gamma_lo, gamma_lo + deg + 1.0
-    u = C.chebpts1(deg + 1)
-    samples = lo + 0.5 * (u + 1.0) * (hi - lo)
-    cols = np.array(list(combinations(range(n * system.m), n)))
+    u, samples = _fit_points(system, gamma_lo)
+    cols = _column_subsets(system)
     K = _kalman_stack(system, samples)                      # (deg+1, n, nm)
     vals = np.linalg.det(K[:, :, cols].transpose(0, 2, 1, 3))
-    coeffs = C.chebfit(u, vals, deg).T
-    return samples, K, coeffs
+    return samples, C.chebfit(u, vals, len(u) - 1).T
+
+
+def _fit_points(system: CoupledSystem, gamma_lo: float) -> tuple[FloatArray, FloatArray]:
+    """The ``n(n-1) + 1`` Chebyshev points ``u`` of the minor fits and the
+    sample values of gamma they map to."""
+    if not gamma_lo > 0.0:
+        raise ValidationError(f"gamma_lo must be positive, got {gamma_lo}")
+    u = C.chebpts1(system.n * (system.n - 1) + 1)
+    return u, _from_unit(u, gamma_lo, len(u) - 1)
+
+
+def _from_unit(u: FloatArray, gamma_lo: float, deg: int) -> FloatArray:
+    """Points of [-1, 1] mapped onto the fit interval
+    ``[gamma_lo, gamma_lo + deg + 1]``."""
+    lo, hi = gamma_lo, gamma_lo + deg + 1.0
+    return lo + 0.5 * (u + 1.0) * (hi - lo)
+
+
+def _column_subsets(system: CoupledSystem) -> npt.NDArray[np.intp]:
+    """The column indices of every n x n minor of K, in lexicographic order."""
+    return np.array(list(combinations(range(system.n * system.m), system.n)))
 
 
 @dataclass(frozen=True)
@@ -234,47 +253,26 @@ def bad_set(system: CoupledSystem, gamma_lo: float) -> tuple[list[float], bool]:
     """Confirmed rank-dropping values of gamma, plus a degeneracy flag.
 
     A rank drop forces every n x n minor to vanish, so the bad set is
-    contained in the real-root set of each minor that is not
-    identically zero.  Candidates are therefore collected from the
-    companion-matrix roots of every nonzero minor polynomial and each
-    one is confirmed by :func:`rank_at`.  (Summing squared minors into
-    a single polynomial would make every true root even-multiplicity,
-    which root solvers split into complex pairs that escape a real-root
-    filter; per-minor roots are generically simple and well
-    conditioned.)  The flag is True when the rank is below n at every
-    sample point, i.e. the minors vanish identically.
+    contained in the real-root set of any one minor that is not
+    identically zero.  Candidates are therefore the companion-matrix
+    roots of one such minor (the one :func:`_rank_drops` picks at a
+    full-rank sample) and each one is confirmed by the rank rule of
+    :func:`rank_at`.  (Summing squared minors into a single polynomial
+    would make every true root even-multiplicity, which root solvers
+    split into complex pairs that escape a real-root filter; the roots
+    of one minor are generically simple and well conditioned.)  The
+    flag is True when the rank is below n at every sample point, i.e.
+    the minors vanish identically.
     """
     bad, degenerate, _ = _rank_drops(system, gamma_lo, np.empty(0))
     return bad, degenerate
 
 
 def _real_roots(coeffs: FloatArray) -> FloatArray:
-    """Real roots of every row of Chebyshev coefficients, as
-    ``chebroots(chebtrim(c, 1e-12 * max|c|))`` finds them row by row.
-
-    Rows are grouped by trimmed length.  Each group's scaled companion
-    matrices are built with ``chebcompanion``'s operations, rotated as
-    ``chebroots`` rotates them, and share one ``eigvals`` call, so every
-    root is the same float as the row-by-row one.  All-zero rows and
-    rows trimmed to a constant have no roots.
-    """
-    mags = np.abs(coeffs)
-    kept = mags > 1e-12 * mags.max(axis=1, keepdims=True)
-    length = (kept * np.arange(1, kept.shape[1] + 1)).max(axis=1)
-    roots = [np.empty(0)]
-    for L in sorted(set(length.tolist()) - {0, 1}):
-        c = coeffs[length == L, :L]
-        if L == 2:
-            roots.append(-c[:, 0] / c[:, 1])
-            continue
-        n = L - 1
-        mat = np.zeros((len(c), n, n))
-        i = np.arange(n - 1)
-        mat[:, i, i + 1] = mat[:, i + 1, i] = [np.sqrt(0.5)] + [0.5] * (n - 2)
-        scl = np.array([1.0] + [np.sqrt(0.5)] * (n - 1))
-        mat[:, :, -1] -= (c[:, :-1] / c[:, -1:]) * (scl / scl[-1]) * 0.5
-        roots.append(np.linalg.eigvals(mat[:, ::-1, ::-1]).ravel())
-    r = np.concatenate(roots)
+    """Real roots of a Chebyshev series, with the coefficients at or below
+    ``1e-12`` of the largest trimmed from the top.  An all-zero series,
+    or one trimmed to a constant, has no roots."""
+    r = C.chebroots(C.chebtrim(coeffs, 1e-12 * np.abs(coeffs).max()))
     return r[np.abs(r.imag) <= 1e-6 * (1.0 + np.abs(r.real))].real
 
 
@@ -308,27 +306,40 @@ def _rank_drops(system: CoupledSystem, gamma_lo: float, eigenvalues: FloatArray
     """:func:`bad_set`, with each candidate near one of ``eigenvalues``
     checked there, plus the mask of the eigenvalues where the rank drops.
 
+    The fit samples are ranked first (:func:`_full_rank_stack`); a
+    degenerate system, full rank at none of them, returns there, with
+    no mask.  Otherwise the eigenvalues (sorted, as a model's are) are
+    ranked in one batched call, and the candidates come from one minor:
+    at the middle full-rank sample, the column subset whose minor of
+    the column-normalized Kalman matrix has the largest ``|det|`` (the
+    first on a tie).  That minor is nonzero there, so it is not
+    identically zero and its real roots hold every rank drop.  It is
+    fitted on the samples like :func:`minor_polynomials` fits each
+    minor.
+
     Fitted roots of high-degree minors can miss a true root by far more
     than ``MATCH_RTOL`` or the rank threshold allow, but not by the
     spacing of the spectrum.  A candidate within relative distance
     ``SNAP_RTOL`` of an eigenvalue, and not already a confirmed match
     for it, is therefore checked at the eigenvalue and, if the rank
-    drops there, reported once as the eigenvalue.  The samples and the
-    eigenvalues (sorted, as a model's are) are ranked in one batched
-    call, the clustered candidates in another (:func:`_full_rank`), and
-    :func:`_confirm` settles the candidates.  A degenerate system
-    returns before any root is computed, with no mask.
+    drops there, reported once as the eigenvalue.  The clustered
+    candidates are ranked in one more call (:func:`_full_rank`) and
+    :func:`_confirm` settles them.
     """
-    n = system.n
-    samples, K_samples, coeffs = _minor_fit(system, gamma_lo)
-    full = _full_rank_stack(np.concatenate(
-        [K_samples, _kalman_stack(system, eigenvalues)]))
-    if not full[:len(samples)].any():
+    u, samples = _fit_points(system, gamma_lo)
+    K_all = _kalman_stack(system, np.concatenate([samples, eigenvalues]))
+    K = K_all[:len(samples)]
+    full = np.flatnonzero(_full_rank_stack(K))
+    if not full.size:
         return [], True, None
-    eigen_drops = ~full[len(samples):]
-    deg = n * (n - 1)
-    lo, hi = gamma_lo, gamma_lo + deg + 1.0
-    gammas = lo + 0.5 * (_real_roots(coeffs) + 1.0) * (hi - lo)
+    eigen_drops = ~_full_rank_stack(K_all[len(samples):])
+    cols = _column_subsets(system)
+    K_mid = _column_normalized(K[full[len(full) // 2]])
+    minors = np.linalg.det(K_mid[:, cols].transpose(1, 0, 2))
+    best = cols[np.argmax(np.abs(minors))]
+    deg = len(u) - 1
+    coeffs = C.chebfit(u, np.linalg.det(K[:, :, best]), deg)
+    gammas = _from_unit(_real_roots(coeffs), gamma_lo, deg)
     candidates = _cluster(gammas[gammas > 0.0])
     if not candidates:      # the common case; spares a rank call on nothing
         return [], False, eigen_drops
@@ -375,9 +386,10 @@ def _confirm(candidates: list[float], drops: npt.NDArray[np.bool_],
 def kalman_certificate(system: CoupledSystem, model: SpectralModel) -> KalmanVerdict:
     """Decide controllability of the system over the model's spectrum.
 
-    The certificate is finite: it fits the minors once, extracts the
-    real roots where the rank can drop and confirms each one (at the
-    model eigenvalue it lies within relative distance 1e-3 of, if any).
+    The certificate is finite: it fits one minor that does not vanish
+    identically, extracts its real roots, where the rank can drop, and
+    confirms each one (at the model eigenvalue it lies within relative
+    distance 1e-3 of, if any).
     It also ranks every model eigenvalue, so the verdict agrees with
     the per-eigenvalue rank test by construction: the first eigenvalue
     whose rank drops is ``p0``, and one that no confirmed value matches

@@ -102,9 +102,9 @@ def _svd_full_rank(K):
 def test_full_rank_screen_agrees_with_svd_on_certify_stacks(workloads,
                                                             monkeypatch):
     """Every stack the certificate ranks in the benchmark's certify ops
-    (samples with the spectrum, and the candidates) gets the SVD rule's
-    answer, while the SVD sees only the matrices the screen leaves: near
-    drops, and all of a structurally uncontrollable system's."""
+    (the samples, the spectrum, and the candidates) gets the SVD rule's
+    answer, while the SVD sees only the matrices the screens leave: near
+    drops, and all of a structurally uncontrollable system's samples."""
     stacks, svd_matrices = [], [0]
     real_screen, real_svd = kalman._full_rank_stack, np.linalg.svd
 
@@ -118,7 +118,7 @@ def test_full_rank_screen_agrees_with_svd_on_certify_stacks(workloads,
 
     monkeypatch.setattr(kalman, "_full_rank_stack", recorded)
     monkeypatch.setattr(np.linalg, "svd", counted)
-    for seed in (1, 2, 3):
+    for seed in (1, 2, 3, 4):
         for op in workloads.build_ops("certify", seed):
             op.run()
     monkeypatch.undo()
@@ -297,7 +297,7 @@ def _row_real_roots(c):
     return r[np.abs(r.imag) <= 1e-6 * (1.0 + np.abs(r.real))].real
 
 
-def test_real_roots_grouped_by_degree_match_row_by_row(workloads):
+def test_real_roots_match_row_reference(workloads):
     def padded(c, width=7):
         return np.pad(np.real(c), (0, width - len(c)))
 
@@ -315,9 +315,86 @@ def test_real_roots_grouped_by_degree_match_row_by_row(workloads):
     blocks = [rows] + [minor_polynomials(s, 1.0)[1]
                        for s in _stack_systems(workloads, model)]
     for coeffs in blocks:
-        expected = np.concatenate([np.empty(0)]
-                                  + [_row_real_roots(c) for c in coeffs])
-        assert np.array_equal(np.sort(_real_roots(coeffs)), np.sort(expected))
+        for c in coeffs:
+            assert np.array_equal(_real_roots(c), _row_real_roots(c))
+
+
+def _fitted_minors(monkeypatch, system, gamma_lo):
+    """The Chebyshev coefficients whose roots bad_set takes, one array per
+    root call."""
+    seen, real = [], kalman._real_roots
+
+    def recorded(coeffs):
+        seen.append(coeffs)
+        return real(coeffs)
+
+    monkeypatch.setattr(kalman, "_real_roots", recorded)
+    bad_set(system, gamma_lo)
+    monkeypatch.undo()
+    return seen
+
+
+def test_single_input_candidates_come_from_the_one_minor(workloads,
+                                                         monkeypatch):
+    """With one control there is one minor, and the certificate fits it
+    to the bit as minor_polynomials does."""
+    model = dirichlet_interval_model(40, np.pi)
+    lo = float(model.eigenvalues[0])
+    fitted = 0
+    for s in _stack_systems(workloads, model):
+        if s.m != 1:
+            continue
+        seen = _fitted_minors(monkeypatch, s, lo)
+        expected = minor_polynomials(s, lo)[1]
+        assert expected.shape[0] == 1 and len(seen) <= 1
+        for coeffs in seen:
+            assert np.array_equal(coeffs, expected[0])
+        fitted += len(seen)
+    assert fitted >= 4
+
+
+def test_candidate_minor_is_the_largest_at_a_full_rank_sample(workloads,
+                                                              monkeypatch):
+    """The roots come from one minor, the largest of the column-normalized
+    minors at the middle full-rank sample, which is therefore nonzero."""
+    from itertools import combinations
+
+    model = dirichlet_interval_model(40, np.pi)
+    lo = float(model.eigenvalues[0])
+    for s in _stack_systems(workloads, model):
+        seen = _fitted_minors(monkeypatch, s, lo)
+        samples, coeffs = minor_polynomials(s, lo)
+        full = [rank_at(s, g) == s.n for g in samples]
+        assert len(seen) == any(full)
+        if not seen:
+            continue
+        g = samples[np.flatnonzero(full)[sum(full) // 2]]
+        K = build_Kp(s, g)
+        K_hat = K / np.linalg.norm(K, axis=0)
+        dets = [abs(np.linalg.det(K_hat[:, sel]))
+                for sel in combinations(range(s.n * s.m), s.n)]
+        best = int(np.argmax(dets))
+        assert dets[best] > 0.0
+        np.testing.assert_allclose(seen[0], coeffs[best], rtol=1e-12,
+                                   atol=1e-12 * np.abs(coeffs[best]).max())
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_certificate_finds_crossings_planted_off_the_spectrum(workloads, n, m):
+    """A rank drop between the eigenvalues, or beyond them, is found by
+    the fitted roots alone, within 1e-6 relative."""
+    model = dirichlet_interval_model(workloads.CERTIFY_MODES)
+    for plants in ([2.5, 6.25, 12.25], [50.5, 200.25, 612.5]):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            s = build_system(*workloads.certify_system(rng, n, m, "crossing",
+                                                       plants)[:3])
+            dropping = [g for g in plants if rank_at(s, g) < n]
+            assert dropping, f"seed {seed}: no drop planted at {plants}"
+            v = kalman_certificate(s, model)
+            for g in dropping:
+                assert any(abs(b - g) <= 1e-6 * g for b in v.bad_gammas), \
+                    f"seed {seed}: drop at {g} not in {v.bad_gammas}"
 
 
 def test_rank_at(diag_pair, rank_one_pair, bad_root_system):
@@ -489,9 +566,9 @@ def test_certificate_finds_planted_crossings(workloads, n, m):
 
 
 def test_certificate_makes_few_batched_linalg_calls(workloads, monkeypatch):
-    """Ranks and roots are taken on stacks: a few SVD calls (the samples
-    with the spectrum, the candidate roots, a failing verdict's kernel
-    vector) and one eigvals call per trimmed minor degree.  The
+    """Ranks are taken on stacks and roots from one minor: a few SVD calls
+    (the samples, the spectrum, the candidate roots, a failing verdict's
+    kernel vector) and at most one eigvals call.  The
     determinant screen clears a random system's Kalman matrices, so
     hardly any of them reaches the SVD."""
     model = dirichlet_interval_model(workloads.CERTIFY_MODES)
@@ -509,7 +586,7 @@ def test_certificate_makes_few_batched_linalg_calls(workloads, monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     kalman_certificate(s, model)
     assert counts["svd"] <= 4
-    assert counts["eigvals"] <= s.n * (s.n - 1)
+    assert counts["eigvals"] <= 1
     assert svd_matrices[0] <= 10
 
 
@@ -534,6 +611,36 @@ def test_certificate_agrees_with_brute_force(diag_pair, rank_one_pair,
         assert v.controllable == all(full)
         if not v.controllable:
             assert v.p0 == full.index(False)
+
+
+def test_certificate_fields_match_rank_scan_on_planted_systems(workloads):
+    """Every verdict field agrees with rank_at on each model eigenvalue
+    and fit sample: planted crossings and structural failures, n 2..5."""
+    model = dirichlet_interval_model(workloads.CERTIFY_MODES)
+    lo = float(model.eigenvalues[0])
+    for n in range(2, 6):
+        for m in (1, 2, 3):
+            for kind in ("crossing", "structural"):
+                for seed in range(3):
+                    rng = np.random.default_rng(seed)
+                    s = build_system(*workloads.certify_system(
+                        rng, n, m, kind, model.eigenvalues)[:3])
+                    v = kalman_certificate(s, model)
+                    ranks = np.array([rank_at(s, float(g))
+                                      for g in model.eigenvalues])
+                    deficient = np.flatnonzero(ranks < n)
+                    samples = minor_polynomials(s, lo)[0]
+                    degenerate = all(rank_at(s, g) < n for g in samples)
+                    assert not v.controllable and deficient.size
+                    assert v.degenerate == degenerate
+                    p0 = 0 if degenerate else int(deficient[0])
+                    assert v.p0 == p0
+                    assert v.gamma_p0 == model.eigenvalues[p0]
+                    assert np.array_equal(v.z0, kernel_vector(s, v.gamma_p0))
+                    if not degenerate:
+                        assert all(any(abs(b - g) <= MATCH_RTOL * (1.0 + g)
+                                       for b in v.bad_gammas)
+                                   for g in model.eigenvalues[deficient])
 
 
 def test_invisible_solution_unseen_but_nonzero(rank_one_pair, interval10):
