@@ -34,7 +34,7 @@ RANK_RTOL = 1e-10
 MATCH_RTOL = 1e-8
 SNAP_RTOL = 1e-3
 # determinant screen of the full-rank test (_full_rank_stack)
-_SCREEN_THETA = 1e-8
+_SCREEN_THETA = 1e-10
 
 
 def _kalman_stack(system: CoupledSystem, gammas: npt.ArrayLike) -> FloatArray:
@@ -81,43 +81,36 @@ def _ranks(system: CoupledSystem, gammas: npt.ArrayLike) -> npt.NDArray[np.intp]
 
 def _full_rank_stack(K: FloatArray) -> npt.NDArray[np.bool_]:
     """``rank == n`` for every Kalman matrix of a (G, n, n*m) stack, by the
-    rule of :func:`_ranks`, with an SVD only where two screens cannot
-    decide.
+    rule of :func:`_ranks`, with an SVD only where a determinant screen
+    cannot decide.
 
     Let ``K^`` be the column-normalized matrix, ``s_1 >= ... >= s_n`` its
     singular values and ``H = K^ K^T``, whose eigenvalues are the
     ``s_i^2``.  Then ``det H = prod s_i^2 <= s_n^2 s_1^(2(n-1))`` and
     ``tr H = sum s_i^2 >= s_1^2``, so
 
-        (s_n / s_1)^2 >= det H / tr(H)^n  and  (s_n / s_1)^2 >= s_n^2 / tr H.
+        (s_n / s_1)^2 >= det H / tr(H)^n.
 
-    The determinant screen clears a matrix when
-    ``det H > _SCREEN_THETA * tr(H)^n``.  That bound is loose when the
-    singular values are graded, as the blocks of successive powers of
-    ``A`` often make them, so the matrices it leaves go through a
-    second screen, which clears one when the least eigenvalue of ``H``
-    (``eigvalsh``, a few times cheaper than the SVD) exceeds
-    ``_SCREEN_THETA * tr H``.  Either way a cleared matrix has
-    ``s_n / s_1 > 1e-4``, six orders of magnitude above ``RANK_RTOL``.
-    That margin dwarfs the roundoff: forming ``H`` (a Gram product of
-    unit columns), its determinant (a backward stable LU) and its
-    eigenvalues (a backward stable symmetric solver) moves the
-    eigenvalues of ``H`` by a small multiple of ``eps * tr H``, against
-    the ``1e-8 * tr H`` the screens demand of the least one, and the SVD
-    finds ``s_n`` to within about ``eps * s_1``.  So the SVD rule calls
-    every cleared matrix full rank too.  The rest (a zero ``H``, a rank
-    drop, a nearly dependent set) go to that rule, on the same
-    normalized matrices.
+    The screen clears a matrix when ``det H > _SCREEN_THETA * tr(H)^n``,
+    so a cleared matrix has ``s_n / s_1 > 1e-5``, five orders of
+    magnitude above ``RANK_RTOL``.  The bound is loose when the singular
+    values are graded, as the blocks of successive powers of ``A``
+    often make them, so the threshold sits far below what a full-rank
+    matrix usually gives.  It still dwarfs the roundoff: forming ``H``
+    and its determinant (a Gram product of unit columns and a backward
+    stable LU) moves the singular values of ``H`` by at most about
+    ``n * nm * eps * tr H``, near ``1e-14 * tr H`` for n <= 5 and
+    m <= 3, against the ``1e-10 * tr H`` the screen demands of the
+    least one, and the SVD finds ``s_n`` to within about ``eps * s_1``.
+    So the SVD rule calls every cleared matrix full rank too.  The rest
+    (a zero ``H``, a rank drop, a nearly dependent set) go to that
+    rule, on the same normalized matrices.
     """
     n = K.shape[-2]
     K_hat = _column_normalized(K)
     H = K_hat @ np.swapaxes(K_hat, -1, -2)
-    tr = np.trace(H, axis1=-2, axis2=-1)
-    full = np.linalg.det(H) > _SCREEN_THETA * tr ** n
+    full = np.linalg.det(H) > _SCREEN_THETA * np.trace(H, axis1=-2, axis2=-1) ** n
     rest = np.flatnonzero(~full)
-    if rest.size:
-        full[rest] = np.linalg.eigvalsh(H[rest])[:, 0] > _SCREEN_THETA * tr[rest]
-        rest = rest[~full[rest]]
     if rest.size:
         full[rest] = _svd_ranks(K_hat[rest]) == n
     return full
@@ -334,9 +327,11 @@ def _rank_drops(system: CoupledSystem, gamma_lo: float, eigenvalues: FloatArray
         return [], True, None
     eigen_drops = ~_full_rank_stack(K_all[len(samples):])
     cols = _column_subsets(system)
-    K_mid = _column_normalized(K[full[len(full) // 2]])
-    minors = np.linalg.det(K_mid[:, cols].transpose(1, 0, 2))
-    best = cols[np.argmax(np.abs(minors))]
+    best = cols[0]
+    if len(cols) > 1:       # with one control there is one minor to fit
+        K_mid = _column_normalized(K[full[len(full) // 2]])
+        minors = np.linalg.det(K_mid[:, cols].transpose(1, 0, 2))
+        best = cols[np.argmax(np.abs(minors))]
     deg = len(u) - 1
     coeffs = C.chebfit(u, np.linalg.det(K[:, :, best]), deg)
     gammas = _from_unit(_real_roots(coeffs), gamma_lo, deg)

@@ -103,7 +103,7 @@ def test_full_rank_screen_agrees_with_svd_on_certify_stacks(workloads,
                                                             monkeypatch):
     """Every stack the certificate ranks in the benchmark's certify ops
     (the samples, the spectrum, and the candidates) gets the SVD rule's
-    answer, while the SVD sees only the matrices the screens leave: near
+    answer, while the SVD sees only the matrices the screen leaves: near
     drops, and all of a structurally uncontrollable system's samples."""
     stacks, svd_matrices = [], [0]
     real_screen, real_svd = kalman._full_rank_stack, np.linalg.svd
